@@ -55,8 +55,8 @@ def make_grid(n_points: int, x_max: float) -> Grid:
     """Build a uniform grid, rejecting discretizations too coarse to use."""
     if n_points < 16:
         raise ValueError(f"n_points must be >= 16, got {n_points}")
-    if not x_max > 0.0:
-        raise ValueError(f"x_max must be positive, got {x_max}")
+    if not 0.0 < x_max < np.inf:
+        raise ValueError(f"x_max must be positive and finite, got {x_max}")
     return Grid(int(n_points), float(x_max))
 
 
@@ -172,14 +172,19 @@ def write_density_csv(path, y: Density) -> None:
 
 
 def read_density_csv(path) -> Density:
+    """Parse a CSV written by ``write_density_csv``; malformed input raises ValueError."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != DENSITY_CSV_HEADER:
             raise ValueError(f"expected header {DENSITY_CSV_HEADER}, got {header}")
-        rows = [(float(r[0]), float(r[1])) for r in reader]
-    x = np.array([r[0] for r in rows])
-    vals = np.array([r[1] for r in rows])
+        try:
+            table = np.array([(float(xi), float(vi)) for xi, vi in reader])
+        except ValueError as exc:
+            raise ValueError(f"{path}: every data row must hold two numbers ({exc})") from None
+    if table.size == 0:
+        raise ValueError(f"{path}: no data rows after the header")
+    x, vals = table[:, 0], table[:, 1]
     grid = make_grid(len(x), x[-1])
     if not np.array_equal(grid.nodes, x):
         raise ValueError("node column is not the uniform grid implied by its length and endpoint")

@@ -69,6 +69,19 @@ def test_iterate_from_density_file(tmp_path):
     assert (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["", "x,density\n", "x,density\n0.0,1.0\n1.0\n", "x,density\n0.0,1.0\n1.0,abc\n"],
+    ids=["empty", "header_only", "short_row", "non_numeric"],
+)
+def test_iterate_malformed_initial_exits_2(tmp_path, text):
+    path = tmp_path / "ic.csv"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(["iterate", "--initial", path, "--out", out]) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -101,6 +114,23 @@ def test_families_single_point(tmp_path):
     assert len(rows) == 1
     assert rows[0]["contracted"] == "true"
     assert float(rows[0]["d_after"]) < float(rows[0]["d_before"])
+
+
+def test_families_exponential_is_its_own_image(tmp_path):
+    rc = run_cli(["families", "--family", "exponential", "--alpha", "2",
+                  "--n-points", "4097", "--out", tmp_path])
+    assert rc == 0
+    with open(tmp_path / "families.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 1
+    assert rows[0]["d_before"] == rows[0]["d_after"]
+    assert rows[0]["contracted"] == "false"
+    assert float(rows[0]["oracle_l1_gap"]) <= 1e-12
+
+
+def test_families_rejects_order_above_cap(tmp_path):
+    rc = run_cli(["families", "--family", "gamma", "--n", "41", "--out", tmp_path])
+    assert rc == 2
 
 
 def test_families_rejects_bad_alpha(tmp_path):

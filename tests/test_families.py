@@ -77,6 +77,17 @@ def test_spec_validation():
         FamilySpec("epsmix", alpha=1.0, n=1, eps=1.5)
 
 
+def test_order_cap_matches_closed_form_step():
+    # the step of order n needs Gamma(2n+1, .), so n = 40 is the largest order
+    spec = FamilySpec("gamma", alpha=1.0, n=40)
+    ty = closed_form_step(spec, grid_for(spec))
+    assert np.all(np.isfinite(ty.values))
+    assert quad_norm(ty) == pytest.approx(1.0, abs=1e-12)
+    for kind in ("gamma", "epsmix"):
+        with pytest.raises(ValueError):
+            FamilySpec(kind, alpha=1.0, n=41, eps=0.5)
+
+
 # ---------------------------------------------------------------- means
 
 
@@ -211,6 +222,15 @@ def test_contraction_exponential_degenerate():
     res = contraction_check(spec, grid_for(spec))
     assert res.d_before == res.d_after == 0.0
     assert not res.contracted
+    assert res.oracle_l1_gap <= 1e-12
+
+
+def test_contraction_check_reports_oracle_gap():
+    spec = FamilySpec("gamma", alpha=2.0, n=1)
+    g = grid_for(spec)
+    res = contraction_check(spec, g, ConvolutionMethod.DIRECT)
+    num = apply_operator(sample_family(spec, g), ConvolutionMethod.DIRECT)
+    assert res.oracle_l1_gap == l1_distance(num, closed_form_step(spec, g))
 
 
 def test_lattice_composition():

@@ -36,6 +36,10 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(64, 0.0)
     with pytest.raises(ValueError):
         make_grid(64, -1.0)
+    with pytest.raises(ValueError):
+        make_grid(64, math.inf)
+    with pytest.raises(ValueError):
+        make_grid(64, math.nan)
 
 
 def test_grid_endpoints_exact():
@@ -210,6 +214,18 @@ def test_density_csv_round_trip_bit_exact(tmp_path):
 def test_density_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0,1\n")
+    with pytest.raises(ValueError):
+        read_density_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "x,density\n", "x,density\n0.0,1.0\n1.0\n", "x,density\n0.0,1.0\n1.0,abc\n"],
+    ids=["empty", "header_only", "short_row", "non_numeric"],
+)
+def test_density_csv_rejects_malformed_input(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
     with pytest.raises(ValueError):
         read_density_csv(path)
 

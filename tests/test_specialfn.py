@@ -106,13 +106,21 @@ def test_e1_rejects_nonpositive():
         exp_integral_e1(-1.0)
 
 
-def test_e1_branches_agree_on_crossover_band():
-    from wealthgas.specialfn import _e1_continued_fraction, _e1_series
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_e1_array_rejects_nonpositive_and_nan(bad):
+    with pytest.raises(ValueError):
+        exp_integral_e1_array(np.array([0.5, bad, 3.0]))
 
-    for x in np.linspace(1.2, 1.8, 25):
-        a = _e1_series(float(x))
-        b = _e1_continued_fraction(float(x))
-        assert a == pytest.approx(b, rel=1e-12)
+
+def test_e1_crossover_band_scipy_cross_check():
+    # both sides of the series / continued-fraction switch at x = 1.5
+    xs = np.linspace(1.2, 1.8, 25)
+    np.testing.assert_allclose(exp_integral_e1_array(xs), special.exp1(xs), rtol=1e-13, atol=0.0)
+
+
+def test_e1_array_dense_scipy_cross_check():
+    xs = np.geomspace(1e-4, 700.0, 20001)
+    np.testing.assert_allclose(exp_integral_e1_array(xs), special.exp1(xs), rtol=1e-13, atol=0.0)
 
 
 def test_e1_array_matches_scalar():
