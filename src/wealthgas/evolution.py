@@ -121,7 +121,9 @@ def matched_exponential(grid: Grid, mean: float) -> Density:
 
     The rate is tuned so that quad_mean of the normalized sample matches the
     requested mean exactly (to ~1e-14 relative), which is the right target
-    for convergence measurements on the same grid.
+    for convergence measurements on the same grid.  Raises ValueError when
+    the tuning misses by more than 1e-12 relative: a mean too small for the
+    grid spacing, or too large for a decreasing exponential on [0, x_max].
     """
     if not mean > 0.0:
         raise ValueError(f"mean must be positive, got {mean}")
@@ -135,6 +137,11 @@ def matched_exponential(grid: Grid, mean: float) -> Density:
         if abs(m - mean) <= 1e-15 * mean:
             break
         rate *= m / mean
+    if not abs(m - mean) <= 1e-12 * mean:
+        raise ValueError(
+            f"no sampled exponential on [0, {grid.x_max:g}] with {grid.n_points} points "
+            f"found with mean {mean:g}; the rate search ended at mean {m:g}"
+        )
     return target
 
 

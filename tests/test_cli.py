@@ -102,6 +102,17 @@ def test_simulate_rejects_single_agent(tmp_path):
     assert rc != 0
 
 
+@pytest.mark.parametrize(
+    "extra", [["--m0", "inf"], ["--m0", "1e308"], ["--m0", "nan"], ["--m-max", "inf"]]
+)
+def test_simulate_rejects_non_finite_money(tmp_path, extra):
+    # --m0 1e308 overflows the total money of 10 agents
+    out = tmp_path / "out"
+    rc = run_cli(["simulate", "--agents", "10", "--transactions", "10", "--out", out] + extra)
+    assert rc == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- families
 
 

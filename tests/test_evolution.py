@@ -329,6 +329,24 @@ def test_matched_exponential_hits_requested_mean():
         assert quad_mean(t) == pytest.approx(mean, rel=1e-12)
 
 
+@pytest.mark.parametrize("mean", [0.001, 100.0])
+def test_matched_exponential_rejects_unreachable_mean(mean):
+    # 0.001 is far below the node spacing (the rate search used to end at
+    # mean 0.892); 100 exceeds x_max/2, the mean of the flattest decreasing
+    # exponential on [0, 40] (it used to end at 20.0)
+    with pytest.raises(ValueError, match="rate search ended"):
+        matched_exponential(GRID, mean)
+
+
+def test_iterate_rejects_unmatchable_target():
+    # a bump at x = 30 has mean 30 > x_max/2, so there is no target to
+    # measure dist_to_target against; the run must stop, not report a
+    # distance to the wrong exponential
+    y0 = Density(GRID, np.maximum(0.0, 1.0 - np.abs(GRID.nodes - 30.0) / 5.0))
+    with pytest.raises(ValueError, match="rate search ended"):
+        iterate_operator(y0, 1)
+
+
 # ---------------------------------------------------------------- transforms
 
 
