@@ -27,14 +27,12 @@ algorithm depends on it.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Density, quad_norm
+from .grid import Density, quad_norm, write_csv, write_json
 
 _CHUNK = 1 << 20
 
@@ -186,16 +184,21 @@ class HistogramEstimate:
     n_samples: int
 
 
+def check_histogram_args(n_bins: int, m_max: float | None) -> None:
+    """Raise ValueError unless n_bins >= 2 and m_max, when given, is positive and finite."""
+    if n_bins < 2:
+        raise ValueError(f"need at least 2 bins, got {n_bins}")
+    if m_max is not None and not 0.0 < m_max < math.inf:
+        raise ValueError(f"m_max must be positive and finite, got {m_max}")
+
+
 def histogram(ens: AgentEnsemble, n_bins: int, m_max: float) -> HistogramEstimate:
     """Per-bin probability density on uniform bins over [0, m_max].
 
     Densities are normalized by the full sample count, so mass that
     overflows m_max shows up as a total below 1 rather than being rescaled.
     """
-    if n_bins < 2:
-        raise ValueError(f"need at least 2 bins, got {n_bins}")
-    if not 0.0 < m_max < math.inf:
-        raise ValueError(f"m_max must be positive and finite, got {m_max}")
+    check_histogram_args(n_bins, m_max)
     edges = np.linspace(0.0, m_max, n_bins + 1)
     counts, _ = np.histogram(ens.money, bins=edges)
     width = edges[1] - edges[0]
@@ -233,29 +236,20 @@ def fit_exponential(ens: AgentEnsemble) -> ExponentialFit:
 
 
 def write_ensemble_csv(path, ens: AgentEnsemble) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("agent_id", "money"))
-        for i, m in enumerate(ens.money):
-            writer.writerow((i, f"{m:.17g}"))
+    write_csv(path, ("agent_id", "money"), enumerate(ens.money.tolist()))
 
 
 def write_histogram_csv(path, hist: HistogramEstimate) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("bin_left", "bin_right", "density"))
-        for left, right, d in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities):
-            writer.writerow((f"{left:.17g}", f"{right:.17g}", f"{d:.17g}"))
+    edges = hist.bin_edges.tolist()
+    write_csv(path, ("bin_left", "bin_right", "density"),
+              zip(edges[:-1], edges[1:], hist.densities.tolist()))
 
 
 def write_fit_json(path, ens: AgentEnsemble, fit: ExponentialFit) -> None:
-    payload = {
+    write_json(path, {
         "beta_hat": fit.beta_hat,
         "ks_statistic": fit.ks_statistic,
         "n_samples": fit.n_samples,
         "transactions_done": ens.transactions_done,
         "seed": ens.rng_seed,
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    })

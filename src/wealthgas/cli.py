@@ -10,13 +10,12 @@ files.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
 from .agents import (
+    check_histogram_args,
     fit_exponential,
     histogram,
     init_ensemble,
@@ -38,9 +37,12 @@ from .families import (
 from .grid import (
     DEFAULT_N_POINTS,
     DOMAIN_MEAN_MULTIPLE,
+    default_grid,
     make_grid,
     read_density_csv,
+    write_csv,
     write_density_csv,
+    write_json,
 )
 from .verify import VerifySettings, report_as_dict, run_property_suite
 
@@ -48,10 +50,8 @@ FAMILIES_DEFAULT_N_POINTS = 32769
 
 
 def _write_manifest(out_dir: Path, subcommand: str, options: dict) -> None:
-    payload = {"subcommand": subcommand, "options": options, "version": __version__}
-    with open(out_dir / "manifest.json", "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out_dir / "manifest.json",
+               {"subcommand": subcommand, "options": options, "version": __version__})
 
 
 def _family_spec_from_args(args) -> FamilySpec:
@@ -75,29 +75,18 @@ def _resolve_initial(args):
             "x_max": y0.grid.x_max,
         }
     if args.family == "triangle":
-        mean = args.mean
-        x_max = args.x_max if args.x_max is not None else DOMAIN_MEAN_MULTIPLE * mean
-        grid = make_grid(args.n_points, x_max)
-        return triangle_density(grid, mean), {
-            "family": "triangle",
-            "mean": mean,
-            "n_points": grid.n_points,
-            "x_max": grid.x_max,
-        }
-    spec = _family_spec_from_args(args)
-    mean = family_mean(spec)
+        spec, mean = None, args.mean
+        record = {"family": "triangle", "mean": mean}
+    else:
+        spec = _family_spec_from_args(args)
+        mean = family_mean(spec)
+        record = {"family": spec.kind.value, "alpha": spec.alpha, "beta": spec.beta,
+                  "n": spec.n, "eps": spec.eps}
     x_max = args.x_max if args.x_max is not None else DOMAIN_MEAN_MULTIPLE * mean
     grid = make_grid(args.n_points, x_max)
-    record = {
-        "family": spec.kind.value,
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-        "n": spec.n,
-        "eps": spec.eps,
-        "n_points": grid.n_points,
-        "x_max": grid.x_max,
-    }
-    return sample_family(spec, grid), record
+    record.update({"n_points": grid.n_points, "x_max": grid.x_max})
+    y0 = triangle_density(grid, mean) if spec is None else sample_family(spec, grid)
+    return y0, record
 
 
 def cmd_iterate(args) -> int:
@@ -118,6 +107,7 @@ def cmd_iterate(args) -> int:
 
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
+    check_histogram_args(args.bins, args.m_max)
     ens = init_ensemble(args.agents, equal=args.m0, seed=args.seed)
     ens = run_transactions(ens, args.transactions)
     m_max = args.m_max if args.m_max is not None else 10.0 * ens.mean_money
@@ -153,9 +143,7 @@ def cmd_verify(args) -> int:
     checks = run_property_suite(settings)
     report = report_as_dict(checks, settings)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "verify_report.json", "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out_dir / "verify_report.json", report)
     _write_manifest(
         out_dir,
         "verify",
@@ -177,14 +165,15 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _spec_label(spec: FamilySpec) -> dict:
-    return {
-        "family": spec.kind.value,
-        "alpha": spec.alpha,
-        "beta": spec.beta if spec.beta is not None else "",
-        "n": spec.n if spec.n is not None else "",
-        "eps": spec.eps if spec.eps is not None else "",
-    }
+FAMILIES_CSV_HEADER = (
+    "family", "alpha", "beta", "n", "eps", "d_before", "d_after", "contracted", "oracle_l1_gap",
+)
+
+
+def _spec_label(spec: FamilySpec) -> tuple:
+    """Label cells as strings, so alpha = 1.0 is written ``1.0`` and an unset field empty."""
+    return tuple("" if v is None else str(v)
+                 for v in (spec.kind.value, spec.alpha, spec.beta, spec.n, spec.eps))
 
 
 def cmd_families(args) -> int:
@@ -195,29 +184,11 @@ def cmd_families(args) -> int:
         specs = list(PARAMETER_LATTICE)
     rows = []
     for spec in specs:
-        grid = make_grid(args.n_points, DOMAIN_MEAN_MULTIPLE * family_mean(spec))
-        res = contraction_check(spec, grid, args.method)
-        row = _spec_label(spec)
-        row.update(
-            {
-                "d_before": f"{res.d_before:.17g}",
-                "d_after": f"{res.d_after:.17g}",
-                "contracted": str(res.contracted).lower(),
-                "oracle_l1_gap": f"{res.oracle_l1_gap:.17g}",
-            }
-        )
-        rows.append(row)
+        res = contraction_check(spec, default_grid(family_mean(spec), args.n_points), args.method)
+        rows.append(_spec_label(spec) + (
+            res.d_before, res.d_after, str(res.contracted).lower(), res.oracle_l1_gap))
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "families.csv", "w", newline="") as f:
-        writer = csv.DictWriter(
-            f,
-            fieldnames=(
-                "family", "alpha", "beta", "n", "eps",
-                "d_before", "d_after", "contracted", "oracle_l1_gap",
-            ),
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(out_dir / "families.csv", FAMILIES_CSV_HEADER, rows)
     _write_manifest(
         out_dir,
         "families",

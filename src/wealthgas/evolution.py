@@ -20,7 +20,6 @@ densities that genuinely reach x_max, and those are rejected loudly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +32,7 @@ from .grid import (
     quad_mean,
     quad_norm,
     tail_mass_estimate,
+    write_csv,
 )
 
 TAIL_EPSILON = 1e-8
@@ -50,10 +50,6 @@ class TruncationHealthError(RuntimeError):
 
 class MassDefectError(RuntimeError):
     """Estimated mass beyond x_max exceeds the iteration budget."""
-
-
-def _as_method(method) -> ConvolutionMethod:
-    return ConvolutionMethod(method)
 
 
 def doubled_nodes(grid: Grid) -> np.ndarray:
@@ -82,7 +78,7 @@ def autoconvolve(y: Density, method=ConvolutionMethod.FFT) -> np.ndarray:
     FFT mode zero-pads to a power of two >= 2N and is O(N log N); the two
     agree pointwise to ~1e-13 on unit-mass inputs.
     """
-    method = _as_method(method)
+    method = ConvolutionMethod(method)
     c = _weighted_autoconv(y, method) / y.grid.spacing
     c[0] = 0.0
     return c
@@ -95,7 +91,7 @@ def apply_operator(y: Density, method=ConvolutionMethod.FFT) -> Density:
     so mass pushed past x_max (but not past 2*x_max) is kept.  Output is
     checked against the truncation-health bound values[-1] <= 1e-8 * max.
     """
-    method = _as_method(method)
+    method = ConvolutionMethod(method)
     grid = y.grid
     h = grid.spacing
     n = grid.n_points
@@ -176,7 +172,7 @@ def iterate_operator(
         raise ValueError(f"n_steps must be positive, got {n_steps}")
     if quad_norm(y0) <= 0.0:
         raise ValueError("iteration requires a density with positive mass")
-    method = _as_method(method)
+    method = ConvolutionMethod(method)
     defect0 = tail_mass_estimate(y0)
     if defect0 > MASS_DEFECT_LIMIT:
         raise MassDefectError(
@@ -214,20 +210,11 @@ REPORT_CSV_HEADER = ("step", "norm", "mean", "mass_defect", "dist_to_target", "s
 
 
 def write_reports_csv(path, reports: list[IterationReport]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(REPORT_CSV_HEADER)
-        for r in reports:
-            writer.writerow(
-                (
-                    r.step,
-                    f"{r.norm:.17g}",
-                    f"{r.mean:.17g}",
-                    f"{r.mass_defect:.17g}",
-                    f"{r.dist_to_target:.17g}",
-                    f"{r.step_delta:.17g}",
-                )
-            )
+    write_csv(
+        path,
+        REPORT_CSV_HEADER,
+        [(r.step, r.norm, r.mean, r.mass_defect, r.dist_to_target, r.step_delta) for r in reports],
+    )
 
 
 def characteristic_function(y: Density, p_values) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from wealthgas import cli
 from wealthgas.cli import main
 
 
@@ -107,6 +108,18 @@ def test_simulate_rejects_single_agent(tmp_path):
 )
 def test_simulate_rejects_non_finite_money(tmp_path, extra):
     # --m0 1e308 overflows the total money of 10 agents
+    out = tmp_path / "out"
+    rc = run_cli(["simulate", "--agents", "10", "--transactions", "10", "--out", out] + extra)
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--bins", "1"], ["--m-max", "inf"], ["--m-max", "0"]])
+def test_simulate_rejects_histogram_options_before_running(tmp_path, monkeypatch, extra):
+    def fail(*args, **kwargs):
+        raise AssertionError("the Monte Carlo ran before the options were checked")
+
+    monkeypatch.setattr(cli, "run_transactions", fail)
     out = tmp_path / "out"
     rc = run_cli(["simulate", "--agents", "10", "--transactions", "10", "--out", out] + extra)
     assert rc == 2
