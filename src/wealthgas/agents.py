@@ -83,14 +83,6 @@ def _exchange_waves(money, ii, jj, eps):
             i_w, j_w, e_w, pos = i_w[keep], j_w[keep], e_w[keep], pos[keep]
 
 
-def exchange_pair(m_i: float, m_j: float, eps: float) -> tuple[float, float]:
-    """Apply one exchange to a single pair; both shares use the pre-update sum."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in the open interval (0, 1), got {eps}")
-    s = m_i + m_j
-    return eps * s, (1.0 - eps) * s
-
-
 @dataclass
 class AgentEnsemble:
     """Money vector plus the generator state that evolves it."""

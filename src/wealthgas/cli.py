@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
     out_dir = Path(args.out)
     settings = VerifySettings(
         n_points=args.n_points,
-        x_max=args.x_max if args.x_max is not None else 40.0,
+        x_max=args.x_max,
         seed=args.seed,
         method=ConvolutionMethod(args.method),
     )
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the operator property suite")
     p_ver.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
-    p_ver.add_argument("--x-max", type=float, default=None)
+    p_ver.add_argument("--x-max", type=float, default=VerifySettings.x_max)
     p_ver.add_argument("--seed", type=int, default=VerifySettings.seed)
     p_ver.add_argument("--method", choices=[m.value for m in ConvolutionMethod], default="fft")
     p_ver.add_argument("--out", type=Path, default=Path("."))
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

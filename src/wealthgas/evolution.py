@@ -75,7 +75,7 @@ def autoconvolve(y: Density, method=ConvolutionMethod.FFT) -> np.ndarray:
 
     Trapezoid-weighted discrete convolution scaled by the spacing; the
     zero-length integral at r = 0 is exactly 0.  Direct mode is O(N^2),
-    FFT mode zero-pads to a power of two >= 2N and is O(N log N); the two
+    FFT mode zero-pads to a power of two >= 2N-1 and is O(N log N); the two
     agree pointwise to ~1e-13 on unit-mass inputs.
     """
     method = ConvolutionMethod(method)
@@ -236,10 +236,6 @@ def fixed_point_ode_residual(y: Density, p_values, step: float = 1e-3) -> np.nda
         raise ValueError("p values must exclude 0")
     if not step > 0.0:
         raise ValueError(f"central-difference step must be positive, got {step}")
-    return _ode_residual_at_step(y, p, step)
-
-
-def _ode_residual_at_step(y: Density, p: np.ndarray, step: float) -> np.ndarray:
     lo = characteristic_function(y, p - step)
     mid = characteristic_function(y, p)
     hi = characteristic_function(y, p + step)

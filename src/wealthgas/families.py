@@ -8,15 +8,19 @@ Four unit-mass families are supported:
 * epsmix(eps, alpha, n):     (1-eps) exponential + eps gamma
 
 Each non-exponential family has a closed-form image under one application
-of the redistribution operator, expressed through incomplete gamma
-functions; those serve as exact oracles for the numerical operator.  The
-epsilon family's image is assembled from its bilinear decomposition
+of the redistribution operator; those serve as exact oracles for the
+numerical operator.  The operator is the quadratic form of the bilinear map
+B(f, g)(x) = integral_x^inf (f*g)(r)/r dr, and for gamma members of orders a
+and b with a common rate alpha (order 0 is the exponential)
 
-    T(f + g)/4-style cross terms:  (1-e)^2 T(exp) + e^2 T(gam) + 2e(1-e) B,
+    B(gamma_a, gamma_b)(x) = alpha/m Q(m, alpha x),   m = a + b + 1,
 
-with the cross term B(exp, gam)(x) = alpha Gamma(n+1, alpha x)/(n+1)!,
-which is algebraically identical to the single combined expression but
-stays finite for every argument without exp/Gamma overflow pairing.
+with Q the regularized upper incomplete gamma function.  So T(gamma_n) is
+alpha/(2n+1) Q(2n+1, alpha x), and the epsilon family's image is
+
+    (1-e)^2 T(exp) + e^2 T(gamma_n) + 2e(1-e) B(exp, gamma_n),
+
+which stays finite for every argument without exp/Gamma overflow pairing.
 
 Sampled densities are normalized to unit mass under the grid quadrature,
 so sampled fixed points are fixed points of the discrete operator too.
@@ -32,13 +36,7 @@ import numpy as np
 
 from .evolution import ConvolutionMethod, apply_operator
 from .grid import Density, Grid, l1_distance, quad_norm
-from .specialfn import (
-    MAX_ORDER,
-    exp_integral_e1_array,
-    gamma_half_integer,
-    regularized_upper_gamma,
-    _log_factorial,
-)
+from .specialfn import MAX_ORDER, exp_integral_e1_array, regularized_upper_gamma
 
 
 class FamilyKind(str, Enum):
@@ -81,7 +79,7 @@ class FamilySpec:
 
 def _gamma_pdf(alpha: float, n: int, x: np.ndarray) -> np.ndarray:
     # prefactor alpha^(n+1)/n! via logs; x^n e^(-alpha x) assembled per node
-    logc = (n + 1) * math.log(alpha) - _log_factorial(n)
+    logc = (n + 1) * math.log(alpha) - math.lgamma(n + 1)
     out = np.zeros_like(x)
     pos = x > 0.0
     out[pos] = np.exp(logc + n * np.log(x[pos]) - alpha * x[pos])
@@ -123,24 +121,9 @@ def family_mean(spec: FamilySpec) -> float:
     return (1.0 + spec.eps * spec.n) / spec.alpha
 
 
-def _gamma_step_values(alpha: float, n: int, x: np.ndarray) -> np.ndarray:
-    # T(gamma_{alpha,n})(x) = C * Gamma(2n+1, alpha x),
-    # C = alpha sqrt(pi) / (2^(2n+1) n! Gamma(n+3/2))
-    logc = (
-        math.log(alpha)
-        + 0.5 * math.log(math.pi)
-        - (2 * n + 1) * math.log(2.0)
-        - _log_factorial(n)
-        - math.log(gamma_half_integer(n + 1))
-        + _log_factorial(2 * n)
-    )
-    return math.exp(logc) * regularized_upper_gamma(2 * n + 1, alpha * x)
-
-
-def _cross_step_values(alpha: float, n: int, x: np.ndarray) -> np.ndarray:
-    # bilinear cross term B(exponential_alpha, gamma_{alpha,n})(x)
-    #   = alpha Gamma(n+1, alpha x) / (n+1)!
-    return alpha / (n + 1) * regularized_upper_gamma(n + 1, alpha * x)
+def _gamma_image(alpha: float, m: int, x: np.ndarray) -> np.ndarray:
+    # B(gamma_a, gamma_b)(x) for orders with a + b + 1 = m
+    return alpha / m * regularized_upper_gamma(m, alpha * x)
 
 
 def _mix_step_values(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
@@ -164,15 +147,15 @@ def closed_form_step_values(spec: FamilySpec, x) -> np.ndarray:
     if spec.kind is FamilyKind.EXPONENTIAL:
         raise ValueError("the exponential family is its own image; use sample_family")
     if spec.kind is FamilyKind.GAMMA:
-        return _gamma_step_values(spec.alpha, spec.n, x)
+        return _gamma_image(spec.alpha, 2 * spec.n + 1, x)
     if spec.kind is FamilyKind.TWO_EXP_MIX:
         return _mix_step_values(spec.alpha, spec.beta, x)
     e = spec.eps
     expo_part = spec.alpha * np.exp(-spec.alpha * x)
     return (
         (1.0 - e) ** 2 * expo_part
-        + e * e * _gamma_step_values(spec.alpha, spec.n, x)
-        + 2.0 * e * (1.0 - e) * _cross_step_values(spec.alpha, spec.n, x)
+        + e * e * _gamma_image(spec.alpha, 2 * spec.n + 1, x)
+        + 2.0 * e * (1.0 - e) * _gamma_image(spec.alpha, spec.n + 1, x)
     )
 
 
@@ -209,14 +192,15 @@ def contraction_check(spec: FamilySpec, grid: Grid, method=ConvolutionMethod.FFT
     """Does one closed-form step move the family toward its limit exponential?
 
     The reference is the exponential with rate 1/family_mean(spec).  The
-    exponential family is its own image, so both distances coincide and it
-    is reported as contracted = False rather than an error.  oracle_l1_gap is
+    exponential family, and the gamma and epsilon members of order n = 0
+    that equal it, are their own image, so both distances coincide and they
+    are reported as contracted = False rather than an error.  oracle_l1_gap is
     the L1 distance between the numerical step (apply_operator with
     ``method``) and the closed-form image.
     """
     w = sample_family(FamilySpec(FamilyKind.EXPONENTIAL, alpha=1.0 / family_mean(spec)), grid)
     y = sample_family(spec, grid)
-    ty = y if spec.kind is FamilyKind.EXPONENTIAL else closed_form_step(spec, grid)
+    ty = y if spec.kind is FamilyKind.EXPONENTIAL or spec.n == 0 else closed_form_step(spec, grid)
     d_before = l1_distance(y, w)
     d_after = l1_distance(ty, w)
     return ContractionResult(

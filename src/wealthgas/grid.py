@@ -97,13 +97,6 @@ class Density:
         return Density(self.grid, c * self.values)
 
 
-@dataclass(frozen=True)
-class MomentSummary:
-    norm: float
-    mean: float
-    mass_defect: float
-
-
 def _require_same_grid(y: Density, w: Density) -> None:
     if y.grid != w.grid:
         raise GridMismatchError(
@@ -155,12 +148,6 @@ def tail_mass_estimate(y: Density) -> float:
     if rate <= 0.0:
         return last * y.grid.x_max
     return last / rate
-
-
-def moment_summary(y: Density) -> MomentSummary:
-    norm = quad_norm(y)
-    mean = quad_mean(y) if norm > 0.0 else 0.0
-    return MomentSummary(norm=norm, mean=mean, mass_defect=tail_mass_estimate(y))
 
 
 def write_csv(path, header, rows) -> None:

@@ -9,7 +9,6 @@ import pytest
 from wealthgas import (
     AgentEnsemble,
     FamilySpec,
-    exchange_pair,
     fit_exponential,
     histogram,
     init_ensemble,
@@ -20,7 +19,7 @@ from wealthgas import (
     write_fit_json,
     write_histogram_csv,
 )
-from wealthgas.agents import _CHUNK
+from wealthgas.agents import _CHUNK, _exchange_waves
 
 
 def sequential_exchange(money, ii, jj, eps):
@@ -94,11 +93,33 @@ def test_init_from_zero_density_rejected():
 
 def test_exchange_pair_rule():
     # eps = 0.25 on (1, 1) splits the pooled 2 into 0.5 and 1.5
-    assert exchange_pair(1.0, 1.0, 0.25) == (0.5, 1.5)
-    with pytest.raises(ValueError):
-        exchange_pair(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        exchange_pair(1.0, 1.0, 1.0)
+    money = np.array([1.0, 1.0])
+    _exchange_waves(money, np.array([0]), np.array([1]), np.array([0.25]))
+    assert money.tolist() == [0.5, 1.5]
+
+
+def test_zero_split_fraction_is_redrawn():
+    # eps lies on the open interval (0, 1): a draw of exactly 0 is replaced
+    class ZeroFirst:
+        def __init__(self, rng):
+            self.rng = rng
+            self.random_calls = 0
+
+        def integers(self, *args, **kwargs):
+            return self.rng.integers(*args, **kwargs)
+
+        def random(self, size):
+            out = self.rng.random(size=size)
+            if self.random_calls == 0:
+                out[0] = 0.0
+            self.random_calls += 1
+            return out
+
+    ens = init_ensemble(2, equal=1.0, seed=0)
+    ens._rng = ZeroFirst(ens._rng)
+    run_transactions(ens, 1)
+    assert ens._rng.random_calls == 2
+    assert float(ens.money.min()) > 0.0
 
 
 def test_total_money_conserved():

@@ -50,6 +50,23 @@ def test_iterate_missing_input_no_partial_outputs(tmp_path):
     assert not out.exists()
 
 
+def test_iterate_directory_as_initial_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_cli(["iterate", "--initial", tmp_path, "--out", out])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_iterate_out_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = run_cli(["iterate", "--steps", "1", "--n-points", "65", "--out", out])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert out.read_text() == ""
+
+
 def test_iterate_reproducible_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["iterate", "--family", "gamma", "--alpha", "2", "--n", "1",

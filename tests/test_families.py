@@ -128,6 +128,15 @@ def test_gamma_step_value_at_zero():
     assert y.values[0] == pytest.approx(1.0 / 3.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.7])
+def test_gamma_step_at_zero_is_exact(alpha):
+    # the duplication formula reduces sqrt(pi) (2n)! / (2^(2n+1) n! Gamma(n+3/2))
+    # to 1/(2n+1), so T(gamma_{alpha,n})(0) = alpha/(2n+1) with nothing to round
+    for n in range(41):
+        got = closed_form_step_values(FamilySpec("gamma", alpha=alpha, n=n), [0.0])[0]
+        assert got == pytest.approx(alpha / (2 * n + 1), rel=1e-15, abs=0.0)
+
+
 def test_gamma_step_scipy_oracle():
     spec = FamilySpec("gamma", alpha=2.0, n=3)
     x = np.array([0.0, 0.4, 2.1, 9.0])
@@ -223,6 +232,15 @@ def test_contraction_exponential_degenerate():
     assert res.d_before == res.d_after == 0.0
     assert not res.contracted
     assert res.oracle_l1_gap <= 1e-12
+    # order-0 gamma and epsilon members are the exponential too: their
+    # distances coincide exactly instead of differing at rounding level
+    order_zero = [s for s in PARAMETER_LATTICE if s.n == 0]
+    assert len(order_zero) == 12
+    for spec in order_zero:
+        res = contraction_check(spec, grid_for(spec))
+        assert res.d_before == res.d_after
+        assert not res.contracted
+        assert res.oracle_l1_gap <= 1e-12
 
 
 def test_contraction_check_reports_oracle_gap():

@@ -11,7 +11,6 @@ from wealthgas import (
     GridMismatchError,
     l1_distance,
     make_grid,
-    moment_summary,
     quad_mean,
     quad_norm,
     read_density_csv,
@@ -185,15 +184,6 @@ def test_tail_mass_estimate_compact_support_and_zero():
     tri = sampled(g, lambda x: np.maximum(0.0, 1.0 - np.abs(x - 1.0)))
     assert tail_mass_estimate(tri) == 0.0
     assert tail_mass_estimate(Density(g, np.zeros(4097))) == 0.0
-
-
-def test_moment_summary_reports_defect():
-    g = make_grid(4097, 40.0)
-    y = sampled(g, lambda x: np.exp(-x))
-    s = moment_summary(y)
-    assert s.norm == quad_norm(y)
-    assert s.mean == quad_mean(y)
-    assert s.mass_defect > 0.0
 
 
 def test_density_csv_round_trip_bit_exact(tmp_path):

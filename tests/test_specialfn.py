@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from wealthgas import exp_integral_e1, gamma_half_integer, upper_incomplete_gamma
 from wealthgas.specialfn import exp_integral_e1_array, regularized_upper_gamma
 
 
+def Q(s, x):
+    return float(regularized_upper_gamma(s, x))
+
+
 def test_upper_gamma_at_zero_is_complete_gamma():
-    assert upper_incomplete_gamma(3, 0.0) == pytest.approx(2.0, rel=1e-14)
-    assert upper_incomplete_gamma(1, 0.0) == pytest.approx(1.0, rel=1e-14)
+    # Gamma(s, 0) = Gamma(s), so Q(s, 0) = 1
+    for s in (1, 3, 81):
+        assert Q(s, 0.0) == 1.0
 
 
 def test_upper_gamma_s1_is_exp():
-    assert upper_incomplete_gamma(1, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert Q(1, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
 def test_upper_gamma_against_quadrature_oracle():
@@ -26,46 +30,45 @@ def test_upper_gamma_against_quadrature_oracle():
         lambda t: t**4 * math.exp(-t), 2.0, 120.0, epsabs=1e-14, epsrel=1e-13, limit=200
     )
     assert err < 1e-10
-    assert upper_incomplete_gamma(5, 2.0) == pytest.approx(oracle, rel=1e-12)
+    assert Q(5, 2.0) * math.factorial(4) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_upper_gamma_rejects_zero_order():
     with pytest.raises(ValueError):
-        upper_incomplete_gamma(0, 1.0)
+        Q(0, 1.0)
     with pytest.raises(ValueError):
-        upper_incomplete_gamma(3, -0.5)
+        Q(3, -0.5)
 
 
 def test_upper_gamma_recurrence_property():
-    # Gamma(s+1, x) = s Gamma(s, x) + x^s e^(-x)
+    # Q(s+1, x) = Q(s, x) + x^s e^(-x)/s!
     rng = np.random.default_rng(3)
     for _ in range(60):
         s = int(rng.integers(1, 40))
         x = float(rng.uniform(0.0, 30.0))
-        lhs = upper_incomplete_gamma(s + 1, x)
-        rhs = s * upper_incomplete_gamma(s, x) + x**s * math.exp(-x)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        rhs = Q(s, x) + x**s * math.exp(-x) / math.factorial(s)
+        assert Q(s + 1, x) == pytest.approx(rhs, rel=1e-12)
 
 
 def test_upper_gamma_derivative_by_central_difference():
-    # d/dx Gamma(s, x) = -x^(s-1) e^(-x)
+    # d/dx Q(s, x) = -x^(s-1) e^(-x)/(s-1)!
     step = 1e-5
     for s, x in ((2, 0.7), (5, 3.2), (9, 11.0)):
-        fd = (upper_incomplete_gamma(s, x + step) - upper_incomplete_gamma(s, x - step)) / (2 * step)
-        exact = -(x ** (s - 1)) * math.exp(-x)
+        fd = (Q(s, x + step) - Q(s, x - step)) / (2 * step)
+        exact = -(x ** (s - 1)) * math.exp(-x) / math.factorial(s - 1)
         assert fd == pytest.approx(exact, rel=1e-6)
 
 
 def test_upper_gamma_scipy_cross_check():
     for s in (1, 2, 7, 31, 81):
         for x in (0.0, 0.5, 4.0, 60.0):
-            oracle = float(special.gammaincc(s, x) * special.gamma(s))
-            assert upper_incomplete_gamma(s, x) == pytest.approx(oracle, rel=1e-12)
+            assert Q(s, x) == pytest.approx(float(special.gammaincc(s, x)), rel=1e-12)
 
 
 def test_upper_gamma_order_cap():
+    Q(81, 1.0)
     with pytest.raises(ValueError):
-        upper_incomplete_gamma(82, 1.0)
+        Q(82, 1.0)
 
 
 def test_regularized_upper_gamma_vectorized():
@@ -85,25 +88,27 @@ def test_e1_at_one_against_series_oracle():
     for k in range(1, 60):
         term *= -x / k
         acc -= term / k
-    assert exp_integral_e1(1.0) == pytest.approx(acc, rel=1e-13)
-    assert exp_integral_e1(1.0) == pytest.approx(0.21938393439552026, rel=1e-12)
+    e1 = float(exp_integral_e1_array(1.0))
+    assert e1 == pytest.approx(acc, rel=1e-13)
+    assert e1 == pytest.approx(0.21938393439552026, rel=1e-12)
 
 
 def test_e1_scipy_cross_check():
-    for x in (0.01, 0.4, 1.0, 1.5, 1.6, 4.0, 20.0, 50.0):
-        assert exp_integral_e1(x) == pytest.approx(float(special.exp1(x)), rel=1e-13)
+    xs = np.array([0.01, 0.4, 1.0, 1.5, 1.6, 4.0, 20.0, 50.0])
+    np.testing.assert_allclose(exp_integral_e1_array(xs), special.exp1(xs), rtol=1e-13, atol=0.0)
 
 
 def test_e1_leading_asymptotics():
     x = 50.0
-    assert exp_integral_e1(x) * x * math.exp(x) == pytest.approx(1.0, rel=0.02)
+    assert float(exp_integral_e1_array(x)) * x * math.exp(x) == pytest.approx(1.0, rel=0.02)
 
 
 def test_e1_rejects_nonpositive():
+    # a scalar argument is rejected as well as an array entry
     with pytest.raises(ValueError):
-        exp_integral_e1(0.0)
+        exp_integral_e1_array(0.0)
     with pytest.raises(ValueError):
-        exp_integral_e1(-1.0)
+        exp_integral_e1_array(-1.0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
@@ -122,23 +127,3 @@ def test_e1_array_dense_scipy_cross_check():
     xs = np.geomspace(1e-4, 700.0, 20001)
     np.testing.assert_allclose(exp_integral_e1_array(xs), special.exp1(xs), rtol=1e-13, atol=0.0)
 
-
-def test_e1_array_matches_scalar():
-    xs = np.array([0.2, 1.0, 3.0])
-    np.testing.assert_allclose(
-        exp_integral_e1_array(xs), [exp_integral_e1(float(v)) for v in xs], rtol=1e-15
-    )
-
-
-def test_gamma_half_integer_ladder():
-    sqrt_pi = math.sqrt(math.pi)
-    assert gamma_half_integer(0) == pytest.approx(sqrt_pi, rel=1e-15)
-    assert gamma_half_integer(1) == pytest.approx(0.5 * sqrt_pi, rel=1e-15)
-    assert gamma_half_integer(2) == pytest.approx(0.75 * sqrt_pi, rel=1e-15)
-    for k in range(0, 30):
-        assert gamma_half_integer(k) == pytest.approx(float(special.gamma(k + 0.5)), rel=1e-13)
-
-
-def test_gamma_half_integer_rejects_negative():
-    with pytest.raises(ValueError):
-        gamma_half_integer(-1)
