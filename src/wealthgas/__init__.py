@@ -27,7 +27,6 @@ from .grid import (
     write_density_csv,
 )
 from .evolution import (
-    ConvolutionMethod,
     IterationReport,
     MassDefectError,
     TruncationHealthError,
@@ -81,7 +80,6 @@ __all__ = [
     "tail_mass_estimate",
     "read_density_csv",
     "write_density_csv",
-    "ConvolutionMethod",
     "IterationReport",
     "MassDefectError",
     "TruncationHealthError",

@@ -1,8 +1,9 @@
 """Command-line front-end: iterate, simulate, verify, families.
 
-Every subcommand resolves its options, runs, and writes its outputs plus a
-``manifest.json`` recording the resolved options and package version, so a
-run can be reproduced bit-for-bit from the manifest alone.  All outputs are
+Every subcommand resolves its options, runs, writes its outputs and returns
+its exit code with the resolved options; ``main`` then writes the
+``manifest.json`` recording those options and the package version, so a run
+can be reproduced bit-for-bit from the manifest alone.  All outputs are
 plain CSV/JSON plot data; no timestamps or environment state leak into the
 files.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -24,7 +26,7 @@ from .agents import (
     write_fit_json,
     write_histogram_csv,
 )
-from .evolution import ConvolutionMethod, iterate_operator, write_reports_csv
+from .evolution import iterate_operator, write_reports_csv
 from .families import (
     PARAMETER_LATTICE,
     FamilyKind,
@@ -47,11 +49,6 @@ from .grid import (
 from .verify import VerifySettings, report_as_dict, run_property_suite
 
 FAMILIES_DEFAULT_N_POINTS = 32769
-
-
-def _write_manifest(out_dir: Path, subcommand: str, options: dict) -> None:
-    write_json(out_dir / "manifest.json",
-               {"subcommand": subcommand, "options": options, "version": __version__})
 
 
 def _family_spec_from_args(args) -> FamilySpec:
@@ -89,23 +86,19 @@ def _resolve_initial(args):
     return y0, record
 
 
-def cmd_iterate(args) -> int:
+def cmd_iterate(args) -> tuple[int, dict]:
     out_dir = Path(args.out)
     y0, record = _resolve_initial(args)
-    densities, reports = iterate_operator(
-        y0, args.steps, method=args.method, early_stop_delta=args.stop_delta
-    )
+    densities, reports = iterate_operator(y0, args.steps, early_stop_delta=args.stop_delta)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k, d in enumerate(densities):
         write_density_csv(out_dir / f"density_step_{k:03d}.csv", d)
     write_reports_csv(out_dir / "report.csv", reports)
-    record.update({"steps": args.steps, "method": ConvolutionMethod(args.method).value,
-                   "stop_delta": args.stop_delta})
-    _write_manifest(out_dir, "iterate", record)
-    return 0
+    record.update({"steps": args.steps, "stop_delta": args.stop_delta})
+    return 0, record
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, dict]:
     out_dir = Path(args.out)
     check_histogram_args(args.bins, args.m_max)
     ens = init_ensemble(args.agents, equal=args.m0, seed=args.seed)
@@ -117,43 +110,22 @@ def cmd_simulate(args) -> int:
     write_ensemble_csv(out_dir / "ensemble.csv", ens)
     write_histogram_csv(out_dir / "histogram.csv", hist)
     write_fit_json(out_dir / "fit.json", ens, fit)
-    _write_manifest(
-        out_dir,
-        "simulate",
-        {
-            "agents": args.agents,
-            "transactions": args.transactions,
-            "seed": args.seed,
-            "m0": args.m0,
-            "bins": args.bins,
-            "m_max": m_max,
-        },
-    )
-    return 0
+    return 0, {
+        "agents": args.agents,
+        "transactions": args.transactions,
+        "seed": args.seed,
+        "m0": args.m0,
+        "bins": args.bins,
+        "m_max": m_max,
+    }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     out_dir = Path(args.out)
-    settings = VerifySettings(
-        n_points=args.n_points,
-        x_max=args.x_max,
-        seed=args.seed,
-        method=ConvolutionMethod(args.method),
-    )
+    settings = VerifySettings(n_points=args.n_points, x_max=args.x_max, seed=args.seed)
     checks = run_property_suite(settings)
-    report = report_as_dict(checks, settings)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "verify_report.json", report)
-    _write_manifest(
-        out_dir,
-        "verify",
-        {
-            "n_points": settings.n_points,
-            "x_max": settings.x_max,
-            "seed": settings.seed,
-            "method": settings.method.value,
-        },
-    )
+    write_json(out_dir / "verify_report.json", report_as_dict(checks, settings))
     width = max(len(c.name) for c in checks)
     for c in checks:
         mark = "pass" if c.passed else "FAIL"
@@ -161,8 +133,7 @@ def cmd_verify(args) -> int:
     failed = [c.name for c in checks if not c.passed]
     if failed:
         print(f"failed properties: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    return (1 if failed else 0), asdict(settings)
 
 
 FAMILIES_CSV_HEADER = (
@@ -176,7 +147,7 @@ def _spec_label(spec: FamilySpec) -> tuple:
                  for v in (spec.kind.value, spec.alpha, spec.beta, spec.n, spec.eps))
 
 
-def cmd_families(args) -> int:
+def cmd_families(args) -> tuple[int, dict]:
     out_dir = Path(args.out)
     if args.family is not None:
         specs = [_family_spec_from_args(args)]
@@ -184,25 +155,19 @@ def cmd_families(args) -> int:
         specs = list(PARAMETER_LATTICE)
     rows = []
     for spec in specs:
-        res = contraction_check(spec, default_grid(family_mean(spec), args.n_points), args.method)
+        res = contraction_check(spec, default_grid(family_mean(spec), args.n_points))
         rows.append(_spec_label(spec) + (
             res.d_before, res.d_after, str(res.contracted).lower(), res.oracle_l1_gap))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "families.csv", FAMILIES_CSV_HEADER, rows)
-    _write_manifest(
-        out_dir,
-        "families",
-        {
-            "n_points": args.n_points,
-            "method": ConvolutionMethod(args.method).value,
-            "family": args.family,
-            "alpha": args.alpha if args.family else None,
-            "beta": args.beta if args.family else None,
-            "n": args.n if args.family else None,
-            "eps": args.eps if args.family else None,
-        },
-    )
-    return 0
+    return 0, {
+        "n_points": args.n_points,
+        "family": args.family,
+        "alpha": args.alpha if args.family else None,
+        "beta": args.beta if args.family else None,
+        "n": args.n if args.family else None,
+        "eps": args.eps if args.family else None,
+    }
 
 
 def _add_family_options(p: argparse.ArgumentParser) -> None:
@@ -235,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_it.add_argument("--steps", type=int, default=10)
     p_it.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
     p_it.add_argument("--x-max", type=float, default=None, help="domain cut (default 40 * mean)")
-    p_it.add_argument("--method", choices=[m.value for m in ConvolutionMethod], default="fft")
     p_it.add_argument("--stop-delta", type=float, default=None, help="early stop when step_delta drops below")
     p_it.add_argument("--out", type=Path, default=Path("."))
     p_it.set_defaults(func=cmd_iterate)
@@ -254,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
     p_ver.add_argument("--x-max", type=float, default=VerifySettings.x_max)
     p_ver.add_argument("--seed", type=int, default=VerifySettings.seed)
-    p_ver.add_argument("--method", choices=[m.value for m in ConvolutionMethod], default="fft")
     p_ver.add_argument("--out", type=Path, default=Path("."))
     p_ver.set_defaults(func=cmd_verify)
 
@@ -267,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_family_options(p_fam)
     p_fam.add_argument("--n-points", type=int, default=FAMILIES_DEFAULT_N_POINTS)
-    p_fam.add_argument("--method", choices=[m.value for m in ConvolutionMethod], default="fft")
     p_fam.add_argument("--out", type=Path, default=Path("."))
     p_fam.set_defaults(func=cmd_families)
 
@@ -278,7 +240,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, options = args.func(args)
+        write_json(Path(args.out) / "manifest.json",
+                   {"subcommand": args.subcommand, "options": options, "version": __version__})
+        return code
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,6 @@ densities that genuinely reach x_max, and those are rejected loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -39,11 +38,6 @@ TAIL_EPSILON = 1e-8
 MASS_DEFECT_LIMIT = 1e-6
 
 
-class ConvolutionMethod(str, Enum):
-    DIRECT = "direct"
-    FFT = "fft"
-
-
 class TruncationHealthError(RuntimeError):
     """Operator output carries non-negligible weight at the last node."""
 
@@ -57,12 +51,10 @@ def doubled_nodes(grid: Grid) -> np.ndarray:
     return grid.spacing * np.arange(2 * grid.n_points - 1)
 
 
-def _weighted_autoconv(y: Density, method: ConvolutionMethod) -> np.ndarray:
+def _weighted_autoconv(y: Density) -> np.ndarray:
     """A_m = sum_{i+j=m} w_i w_j y_i y_j over the doubled index range."""
     a = y.grid.trap_weights() * y.values
     n = a.shape[0]
-    if method is ConvolutionMethod.DIRECT:
-        return np.convolve(a, a)
     size = 1
     while size < 2 * n - 1:
         size *= 2
@@ -70,32 +62,31 @@ def _weighted_autoconv(y: Density, method: ConvolutionMethod) -> np.ndarray:
     return np.fft.irfft(fa * fa, size)[: 2 * n - 1]
 
 
-def autoconvolve(y: Density, method=ConvolutionMethod.FFT) -> np.ndarray:
+def autoconvolve(y: Density) -> np.ndarray:
     """Sampled autoconvolution (y*y)(r_k) on the doubled domain [0, 2*x_max].
 
     Trapezoid-weighted discrete convolution scaled by the spacing; the
-    zero-length integral at r = 0 is exactly 0.  Direct mode is O(N^2),
-    FFT mode zero-pads to a power of two >= 2N-1 and is O(N log N); the two
-    agree pointwise to ~1e-13 on unit-mass inputs.
+    zero-length integral at r = 0 is exactly 0.  The FFT zero-pads to a power
+    of two >= 2N-1 and is O(N log N); it agrees pointwise to ~1e-13 with the
+    O(N^2) direct sum on unit-mass inputs, which verify's method_equivalence
+    check measures.
     """
-    method = ConvolutionMethod(method)
-    c = _weighted_autoconv(y, method) / y.grid.spacing
+    c = _weighted_autoconv(y) / y.grid.spacing
     c[0] = 0.0
     return c
 
 
-def apply_operator(y: Density, method=ConvolutionMethod.FFT) -> Density:
+def apply_operator(y: Density) -> Density:
     """One redistribution step: a new Density on the same grid.
 
     The tail integral runs over the full doubled domain before restriction,
     so mass pushed past x_max (but not past 2*x_max) is kept.  Output is
     checked against the truncation-health bound values[-1] <= 1e-8 * max.
     """
-    method = ConvolutionMethod(method)
     grid = y.grid
     h = grid.spacing
     n = grid.n_points
-    A = _weighted_autoconv(y, method)
+    A = _weighted_autoconv(y)
     r = doubled_nodes(grid)
     g = np.empty_like(A)
     g[0] = y.values[0] ** 2
@@ -125,7 +116,6 @@ def matched_exponential(grid: Grid, mean: float) -> Density:
         raise ValueError(f"mean must be positive, got {mean}")
     x = grid.nodes
     rate = 1.0 / mean
-    target = None
     for _ in range(60):
         vals = np.exp(-rate * x)
         target = Density(grid, vals / float(grid.trap_weights() @ vals))
@@ -156,7 +146,6 @@ class IterationReport:
 def iterate_operator(
     y0: Density,
     n_steps: int,
-    method=ConvolutionMethod.FFT,
     early_stop_delta: float | None = None,
 ) -> tuple[list[Density], list[IterationReport]]:
     """Apply the operator repeatedly, reporting convergence per step.
@@ -172,7 +161,6 @@ def iterate_operator(
         raise ValueError(f"n_steps must be positive, got {n_steps}")
     if quad_norm(y0) <= 0.0:
         raise ValueError("iteration requires a density with positive mass")
-    method = ConvolutionMethod(method)
     defect0 = tail_mass_estimate(y0)
     if defect0 > MASS_DEFECT_LIMIT:
         raise MassDefectError(
@@ -183,7 +171,7 @@ def iterate_operator(
     reports: list[IterationReport] = []
     y = y0
     for step in range(1, n_steps + 1):
-        y_next = apply_operator(y, method)
+        y_next = apply_operator(y)
         defect = tail_mass_estimate(y_next)
         if defect > MASS_DEFECT_LIMIT:
             raise MassDefectError(

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .evolution import ConvolutionMethod, apply_operator
+from .evolution import apply_operator
 from .grid import Density, Grid, l1_distance, quad_norm
 from .specialfn import MAX_ORDER, exp_integral_e1_array, regularized_upper_gamma
 
@@ -188,15 +188,15 @@ class ContractionResult:
     oracle_l1_gap: float
 
 
-def contraction_check(spec: FamilySpec, grid: Grid, method=ConvolutionMethod.FFT) -> ContractionResult:
+def contraction_check(spec: FamilySpec, grid: Grid) -> ContractionResult:
     """Does one closed-form step move the family toward its limit exponential?
 
     The reference is the exponential with rate 1/family_mean(spec).  The
     exponential family, and the gamma and epsilon members of order n = 0
     that equal it, are their own image, so both distances coincide and they
     are reported as contracted = False rather than an error.  oracle_l1_gap is
-    the L1 distance between the numerical step (apply_operator with
-    ``method``) and the closed-form image.
+    the L1 distance between the numerical step (apply_operator) and the
+    closed-form image.
     """
     w = sample_family(FamilySpec(FamilyKind.EXPONENTIAL, alpha=1.0 / family_mean(spec)), grid)
     y = sample_family(spec, grid)
@@ -207,7 +207,7 @@ def contraction_check(spec: FamilySpec, grid: Grid, method=ConvolutionMethod.FFT
         d_before=d_before,
         d_after=d_after,
         contracted=d_after < d_before,
-        oracle_l1_gap=l1_distance(apply_operator(y, method), ty),
+        oracle_l1_gap=l1_distance(apply_operator(y), ty),
     )
 
 

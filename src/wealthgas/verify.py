@@ -11,7 +11,7 @@ inputs and compares against a fixed threshold:
   2-cycles, pointwise monotonicity, complete-monotonicity sign patterns,
   the derivative-at-zero recurrence, and the norm trichotomy
   ||T^k y|| = ||y||^(2^k)
-* direct vs FFT convolution equivalence
+* FFT autoconvolution against the direct O(N^2) sum
 
 The random inputs are seeded mixtures of gamma/exponential shapes, so a
 run is fully deterministic for a given settings record.
@@ -20,12 +20,11 @@ run is fully deterministic for a given settings record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .evolution import (
-    ConvolutionMethod,
     apply_operator,
     autoconvolve,
     derivative_at_zero,
@@ -41,7 +40,6 @@ class VerifySettings:
     n_points: int = 4097
     x_max: float = 40.0
     seed: int = 20240901
-    method: ConvolutionMethod = ConvolutionMethod.FFT
 
 
 # random inputs per randomized check
@@ -59,12 +57,7 @@ class PropertyCheck:
 
 
 def _check(name: str, measured: float, threshold: float, comparison: str = "<=", detail: str = "") -> PropertyCheck:
-    if comparison == "<=":
-        ok = measured <= threshold
-    elif comparison == ">=":
-        ok = measured >= threshold
-    else:
-        raise ValueError(comparison)
+    ok = measured <= threshold if comparison == "<=" else measured >= threshold
     return PropertyCheck(name, float(measured), float(threshold), comparison, bool(ok), detail)
 
 
@@ -97,7 +90,6 @@ _FIXED_POINT_RATES = (0.5, 0.7, 0.9, 1.0, 1.3, 1.7, 2.0)
 def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[PropertyCheck]:
     grid = make_grid(settings.n_points, settings.x_max)
     rng = np.random.default_rng(settings.seed)
-    method = ConvolutionMethod(settings.method)
     checks: list[PropertyCheck] = []
 
     # mass squaring + mean conservation on one random batch
@@ -105,10 +97,10 @@ def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[Prop
     worst_mean = 0.0
     for _ in range(N_RANDOM):
         y = random_density(grid, rng)
-        ty = apply_operator(y, method)
+        ty = apply_operator(y)
         worst_norm = max(worst_norm, abs(quad_norm(ty) - quad_norm(y) ** 2))
         p = y.scaled(1.0 / quad_norm(y))
-        tp = apply_operator(p, method)
+        tp = apply_operator(p)
         worst_mean = max(worst_mean, abs(quad_mean(tp) - quad_mean(p)) / quad_mean(p))
     checks.append(_check("norm_squaring", worst_norm, 1e-7, detail="max |norm(Ty) - norm(y)^2|"))
     checks.append(_check("mean_conservation", worst_mean, 1e-5, detail="max relative mean drift, unit-mass inputs"))
@@ -117,7 +109,7 @@ def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[Prop
     fixed_points = [
         sample_family(FamilySpec(FamilyKind.EXPONENTIAL, alpha=a), grid) for a in _FIXED_POINT_RATES
     ]
-    images = [apply_operator(f, method) for f in fixed_points]
+    images = [apply_operator(f) for f in fixed_points]
     ratios = []
     for a in range(len(fixed_points)):
         for b in range(a + 1, len(fixed_points)):
@@ -129,7 +121,7 @@ def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[Prop
         w = random_pdf(grid, rng)
         d = l1_distance(y, w)
         if d > 1e-12:
-            ratios.append(l1_distance(apply_operator(y, method), apply_operator(w, method)) / d)
+            ratios.append(l1_distance(apply_operator(y), apply_operator(w)) / d)
     checks.append(_check("lipschitz_bound", max(ratios), 2.0 + 1e-6, detail="max ||Ty-Tw||/||y-w||"))
     checks.append(
         _check("lipschitz_nonvacuity", max(ratios), 1.0, ">=", detail="largest ratio reaches the unit sphere")
@@ -140,7 +132,7 @@ def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[Prop
     for a in (0.5, 1.0, 2.0):
         g = make_grid(settings.n_points, 40.0 / a)
         y = sample_family(FamilySpec(FamilyKind.EXPONENTIAL, alpha=a), g)
-        worst_fp = max(worst_fp, l1_distance(apply_operator(y, method), y))
+        worst_fp = max(worst_fp, l1_distance(apply_operator(y), y))
     checks.append(_check("fixed_point", worst_fp, 1e-6, detail="max L1 self-distance of sampled exponentials"))
 
     # transform-side ODE residual: tiny at the fixed point, large away from it
@@ -157,8 +149,8 @@ def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[Prop
     near_fixed = near_fixed.scaled(1.0 / quad_norm(near_fixed))
     candidates = [random_pdf(grid, rng) for _ in range(N_RANDOM - 2)] + [expo, near_fixed]
     for y in candidates:
-        ty = apply_operator(y, method)
-        tty = apply_operator(ty, method)
+        ty = apply_operator(y)
+        tty = apply_operator(ty)
         if l1_distance(tty, y) < 1e-4 and l1_distance(ty, y) >= 1e-3:
             violations += 1
     checks.append(_check("no_two_cycles", violations, 0.0, detail="count of 2-cycle candidates that are not fixed"))
@@ -166,13 +158,13 @@ def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[Prop
     # operator images decrease monotonically in x
     worst_jump = 0.0
     for y in (tri, random_pdf(grid, rng)):
-        img = apply_operator(y, method).values
+        img = apply_operator(y).values
         worst_jump = max(worst_jump, float(np.max(np.diff(img))))
     checks.append(_check("monotone_decrease", worst_jump, 1e-12, detail="max increase between adjacent nodes of Ty"))
 
     # complete monotonicity evidence + derivative-at-zero recurrence
-    t2 = apply_operator(apply_operator(tri, method), method)
-    t3 = apply_operator(t2, method)
+    t2 = apply_operator(apply_operator(tri))
+    t3 = apply_operator(t2)
     worst_sign = math.inf
     h = grid.spacing
     for target in (expo, t3):
@@ -184,7 +176,7 @@ def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[Prop
     checks.append(_check("complete_monotonicity", worst_sign, -1e-6, ">=", detail="min signed FD derivative, m<=3"))
 
     worst_rec = 0.0
-    for current, previous in ((t3, t2), (apply_operator(expo, method), expo)):
+    for current, previous in ((t3, t2), (apply_operator(expo), expo)):
         prev_d = [((-1.0) ** k) * derivative_at_zero(previous, k) for k in range(3)]
         for m in (1, 2, 3):
             lhs = ((-1.0) ** m) * derivative_at_zero(current, m)
@@ -199,25 +191,18 @@ def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[Prop
         y = base.scaled(c)
         expected = c
         for _ in range(5):
-            y = apply_operator(y, method)
+            y = apply_operator(y)
             expected = expected**2
             worst_tri = max(worst_tri, abs(quad_norm(y) - expected) / expected)
     checks.append(_check("norm_trichotomy", worst_tri, 1e-6, detail="max relative norm error over 5 steps"))
 
-    # the two convolution modes are the same algorithm
+    # the FFT autoconvolution against the direct O(N^2) sum it replaces
     worst_eq = 0.0
     for y in (expo, random_pdf(grid, rng)):
-        worst_eq = max(
-            worst_eq,
-            float(
-                np.max(
-                    np.abs(
-                        autoconvolve(y, ConvolutionMethod.DIRECT)
-                        - autoconvolve(y, ConvolutionMethod.FFT)
-                    )
-                )
-            ),
-        )
+        a = grid.trap_weights() * y.values
+        direct = np.convolve(a, a) / grid.spacing
+        direct[0] = 0.0
+        worst_eq = max(worst_eq, float(np.max(np.abs(direct - autoconvolve(y)))))
     checks.append(_check("method_equivalence", worst_eq, 1e-10, detail="max |direct - fft| autoconvolution"))
 
     return checks
@@ -225,13 +210,7 @@ def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[Prop
 
 def report_as_dict(checks: list[PropertyCheck], settings: VerifySettings) -> dict:
     return {
-        "settings": {
-            "n_points": settings.n_points,
-            "x_max": settings.x_max,
-            "seed": settings.seed,
-            "method": ConvolutionMethod(settings.method).value,
-            "n_random": N_RANDOM,
-        },
+        "settings": {**asdict(settings), "n_random": N_RANDOM},
         "properties": [
             {
                 "name": c.name,

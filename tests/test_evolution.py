@@ -12,7 +12,6 @@ import pytest
 from scipy import integrate
 
 from wealthgas import (
-    ConvolutionMethod,
     Density,
     FamilySpec,
     MassDefectError,
@@ -32,6 +31,7 @@ from wealthgas import (
     triangle_density,
     write_reports_csv,
 )
+from wealthgas import evolution
 from wealthgas.evolution import REPORT_CSV_HEADER, doubled_nodes
 from wealthgas.verify import random_density, random_pdf
 
@@ -70,21 +70,27 @@ def test_autoconvolve_zero_at_origin():
     assert autoconvolve(y)[0] == 0.0
 
 
-def test_autoconvolve_methods_agree_pointwise():
+def _direct_weighted_autoconv(y):
+    # the O(N^2) reference sum A_m = sum_{i+j=m} w_i w_j y_i y_j
+    a = y.grid.trap_weights() * y.values
+    return np.convolve(a, a)
+
+
+def test_autoconvolve_matches_direct_sum():
     rng = np.random.default_rng(4)
     for _ in range(3):
         y = random_pdf(GRID, rng)
-        direct = autoconvolve(y, ConvolutionMethod.DIRECT)
-        fft = autoconvolve(y, ConvolutionMethod.FFT)
-        assert np.max(np.abs(direct - fft)) <= 1e-10
+        direct = _direct_weighted_autoconv(y) / GRID.spacing
+        direct[0] = 0.0
+        assert np.max(np.abs(direct - autoconvolve(y))) <= 1e-10
 
 
-def test_apply_operator_methods_agree():
+def test_apply_operator_matches_direct_sum(monkeypatch):
     rng = np.random.default_rng(6)
     y = random_pdf(GRID, rng)
-    a = apply_operator(y, ConvolutionMethod.DIRECT)
-    b = apply_operator(y, "fft")
-    assert l1_distance(a, b) <= 1e-10
+    fft = apply_operator(y)
+    monkeypatch.setattr(evolution, "_weighted_autoconv", _direct_weighted_autoconv)
+    assert l1_distance(apply_operator(y), fft) <= 1e-10
 
 
 # ---------------------------------------------------------------- apply_operator

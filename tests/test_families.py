@@ -7,7 +7,6 @@ import pytest
 from scipy import special
 
 from wealthgas import (
-    ConvolutionMethod,
     FamilySpec,
     apply_operator,
     closed_form_step,
@@ -246,8 +245,8 @@ def test_contraction_exponential_degenerate():
 def test_contraction_check_reports_oracle_gap():
     spec = FamilySpec("gamma", alpha=2.0, n=1)
     g = grid_for(spec)
-    res = contraction_check(spec, g, ConvolutionMethod.DIRECT)
-    num = apply_operator(sample_family(spec, g), ConvolutionMethod.DIRECT)
+    res = contraction_check(spec, g)
+    num = apply_operator(sample_family(spec, g))
     assert res.oracle_l1_gap == l1_distance(num, closed_form_step(spec, g))
 
 

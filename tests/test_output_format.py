@@ -19,7 +19,7 @@ from wealthgas.agents import (
     write_histogram_csv,
 )
 from wealthgas.evolution import IterationReport, write_reports_csv
-from wealthgas.families import ContractionResult, FamilyKind
+from wealthgas.families import ContractionResult, FamilyKind, triangle_density
 from wealthgas.grid import Density, make_grid, write_csv, write_density_csv
 from wealthgas.verify import PropertyCheck
 
@@ -80,7 +80,7 @@ def test_ensemble_histogram_and_fit_bytes(tmp_path):
     )
 
 
-def _fixed_contraction(spec, grid, method):
+def _fixed_contraction(spec, grid):
     moved = spec.kind is not FamilyKind.EXPONENTIAL
     return ContractionResult(
         d_before=0.5, d_after=0.1 if moved else 0.5, contracted=moved, oracle_l1_gap=1 / 3
@@ -105,14 +105,52 @@ def test_families_csv_bytes(tmp_path, monkeypatch, args, row):
     assert (tmp_path / "families.csv").read_bytes() == FAMILIES_HEADER + row
 
 
+def _manifest(subcommand: bytes, options: bytes) -> bytes:
+    return (b'{\n  "options": {\n' + options + b'\n  },\n  "subcommand": "' + subcommand
+            + b'",\n  "version": "' + VERSION + b'"\n}\n')
+
+
 def test_manifest_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "contraction_check", _fixed_contraction)
     args = ["--family", "epsmix", "--alpha", "1", "--n", "2", "--eps", "0.25"]
-    assert cli.main(["families", *args, "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "manifest.json").read_bytes() == (
-        b'{\n  "options": {\n    "alpha": 1.0,\n    "beta": 3.0,\n    "eps": 0.25,\n'
-        b'    "family": "epsmix",\n    "method": "fft",\n    "n": 2,\n    "n_points": 32769\n'
-        b'  },\n  "subcommand": "families",\n  "version": "' + VERSION + b'"\n}\n'
+    assert cli.main(["families", *args, "--out", "fam"]) == 0
+    assert (tmp_path / "fam" / "manifest.json").read_bytes() == _manifest(
+        b"families",
+        b'    "alpha": 1.0,\n    "beta": 3.0,\n    "eps": 0.25,\n'
+        b'    "family": "epsmix",\n    "n": 2,\n    "n_points": 32769',
+    )
+
+    tri = ["--family", "triangle", "--steps", "1", "--n-points", "1025", "--stop-delta", "1e-9"]
+    assert cli.main(["iterate", *tri, "--out", "tri"]) == 0
+    assert (tmp_path / "tri" / "manifest.json").read_bytes() == _manifest(
+        b"iterate",
+        b'    "family": "triangle",\n    "mean": 1.0,\n    "n_points": 1025,\n'
+        b'    "steps": 1,\n    "stop_delta": 1e-09,\n    "x_max": 40.0',
+    )
+
+    write_density_csv(tmp_path / "start.csv", triangle_density(make_grid(1025, 40.0)))
+    assert cli.main(["iterate", "--initial", "start.csv", "--steps", "1", "--out", "ini"]) == 0
+    assert (tmp_path / "ini" / "manifest.json").read_bytes() == _manifest(
+        b"iterate",
+        b'    "initial": "start.csv",\n    "n_points": 1025,\n    "steps": 1,\n'
+        b'    "stop_delta": null,\n    "x_max": 40.0',
+    )
+
+    sim = ["--agents", "3", "--transactions", "5", "--m0", "0.1", "--seed", "3"]
+    assert cli.main(["simulate", *sim, "--out", "sim"]) == 0
+    assert (tmp_path / "sim" / "manifest.json").read_bytes() == _manifest(
+        b"simulate",
+        b'    "agents": 3,\n    "bins": 200,\n    "m0": 0.1,\n    "m_max": 1.0000000000000002,\n'
+        b'    "seed": 3,\n    "transactions": 5',
+    )
+
+    # a failing verify run still records how it ran
+    failing = [PropertyCheck("lipschitz", 2.5, 2.0, "<=", False)]
+    monkeypatch.setattr(cli, "run_property_suite", lambda settings: failing)
+    assert cli.main(["verify", "--n-points", "64", "--out", "ver"]) == 1
+    assert (tmp_path / "ver" / "manifest.json").read_bytes() == _manifest(
+        b"verify", b'    "n_points": 64,\n    "seed": 20240901,\n    "x_max": 40.0'
     )
 
 
@@ -129,6 +167,6 @@ def test_verify_report_bytes(tmp_path, monkeypatch):
         b'      "name": "norm_squaring",\n      "pass": true,\n      "threshold": 1e-12\n    },\n'
         b'    {\n      "comparison": "<=",\n      "detail": "worst pair 3",\n      "measured": 2.5,\n'
         b'      "name": "lipschitz",\n      "pass": false,\n      "threshold": 2.0\n    }\n  ],\n'
-        b'  "settings": {\n    "method": "fft",\n    "n_points": 64,\n    "n_random": 50,\n'
+        b'  "settings": {\n    "n_points": 64,\n    "n_random": 50,\n'
         b'    "seed": 20240901,\n    "x_max": 40.0\n  }\n}\n'
     )
