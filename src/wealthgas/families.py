@@ -1,26 +1,26 @@
 """Analytic density families, their means, and closed-form first steps.
 
-Four unit-mass families are supported:
+Each family is a mixture sum_k w_k gamma(r_k, n_k) of unit-mass gamma
+densities r^(n+1)/n! x^n e^(-r x) (order 0 is the exponential), with
+components (weight, rate, order):
 
-* exponential(alpha):        alpha e^(-alpha x)
-* gamma(alpha, n):           alpha^(n+1)/n! x^n e^(-alpha x)
-* mix(alpha, beta):          (alpha e^(-alpha x) + beta e^(-beta x)) / 2
-* epsmix(eps, alpha, n):     (1-eps) exponential + eps gamma
+* exponential(alpha):        (1, alpha, 0)
+* gamma(alpha, n):           (1, alpha, n)
+* mix(alpha, beta):          (1/2, alpha, 0), (1/2, beta, 0)
+* epsmix(eps, alpha, n):     (1-eps, alpha, 0), (eps, alpha, n)
 
-Each non-exponential family has a closed-form image under one application
-of the redistribution operator; those serve as exact oracles for the
-numerical operator.  The operator is the quadratic form of the bilinear map
-B(f, g)(x) = integral_x^inf (f*g)(r)/r dr, and for gamma members of orders a
-and b with a common rate alpha (order 0 is the exponential)
+Density and mean are sums over the components.  The operator is the
+quadratic form T(f) = B(f, f) of the bilinear map
+B(f, g)(x) = integral_x^inf (f*g)(r)/r dr, so a mixture's image is
+sum_k w_k^2 B(k, k) + sum_{k<l} 2 w_k w_l B(k, l), an exact oracle for the
+numerical operator.  B has one closed form on a common rate r,
 
-    B(gamma_a, gamma_b)(x) = alpha/m Q(m, alpha x),   m = a + b + 1,
+    B(gamma(r, a), gamma(r, b))(x) = r/m Q(m, r x),   m = a + b + 1,
 
-with Q the regularized upper incomplete gamma function.  So T(gamma_n) is
-alpha/(2n+1) Q(2n+1, alpha x), and the epsilon family's image is
-
-    (1-e)^2 T(exp) + e^2 T(gamma_n) + 2e(1-e) B(exp, gamma_n),
-
-which stays finite for every argument without exp/Gamma overflow pairing.
+with Q the regularized upper incomplete gamma function, finite for every
+argument.  Unequal rates meet only in the mix, between two exponentials:
+B(exp_a, exp_b)(x) = ab/(a-b) (E1(b x) - E1(a x)), which tends to
+ab/(a-b) ln(a/b) at x = 0.  Every order-0 member is its own image.
 
 Sampled densities are normalized to unit mass under the grid quadrature,
 so sampled fixed points are fixed points of the discrete operator too.
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
@@ -77,30 +78,32 @@ class FamilySpec:
                 raise ValueError(f"eps must lie in [0, 1], got {self.eps}")
 
 
-def _gamma_pdf(alpha: float, n: int, x: np.ndarray) -> np.ndarray:
-    # prefactor alpha^(n+1)/n! via logs; x^n e^(-alpha x) assembled per node
-    logc = (n + 1) * math.log(alpha) - math.lgamma(n + 1)
+def _components(spec: FamilySpec) -> tuple[tuple[float, float, int], ...]:
+    """The (weight, rate, order) gamma components whose mixture is the family."""
+    if spec.kind is FamilyKind.EXPONENTIAL:
+        return ((1.0, spec.alpha, 0),)
+    if spec.kind is FamilyKind.GAMMA:
+        return ((1.0, spec.alpha, spec.n),)
+    if spec.kind is FamilyKind.TWO_EXP_MIX:
+        return ((0.5, spec.alpha, 0), (0.5, spec.beta, 0))
+    return ((1.0 - spec.eps, spec.alpha, 0), (spec.eps, spec.alpha, spec.n))
+
+
+def _gamma_pdf(rate: float, order: int, x: np.ndarray) -> np.ndarray:
+    if order == 0:
+        return rate * np.exp(-rate * x)
+    # prefactor rate^(n+1)/n! via logs; x^n e^(-rate x) assembled per node
+    logc = (order + 1) * math.log(rate) - math.lgamma(order + 1)
     out = np.zeros_like(x)
     pos = x > 0.0
-    out[pos] = np.exp(logc + n * np.log(x[pos]) - alpha * x[pos])
-    if n == 0:
-        out[~pos] = alpha
+    out[pos] = np.exp(logc + order * np.log(x[pos]) - rate * x[pos])
     return out
 
 
 def evaluate_family(spec: FamilySpec, x) -> np.ndarray:
     """Pointwise analytic values (no grid normalization)."""
     x = np.asarray(x, dtype=np.float64)
-    if spec.kind is FamilyKind.EXPONENTIAL:
-        return spec.alpha * np.exp(-spec.alpha * x)
-    if spec.kind is FamilyKind.GAMMA:
-        return _gamma_pdf(spec.alpha, spec.n, x)
-    if spec.kind is FamilyKind.TWO_EXP_MIX:
-        return 0.5 * (
-            spec.alpha * np.exp(-spec.alpha * x) + spec.beta * np.exp(-spec.beta * x)
-        )
-    expo = spec.alpha * np.exp(-spec.alpha * x)
-    return (1.0 - spec.eps) * expo + spec.eps * _gamma_pdf(spec.alpha, spec.n, x)
+    return sum(w * _gamma_pdf(r, n, x) for w, r, n in _components(spec))
 
 
 def sample_family(spec: FamilySpec, grid: Grid) -> Density:
@@ -112,51 +115,33 @@ def sample_family(spec: FamilySpec, grid: Grid) -> Density:
 
 def family_mean(spec: FamilySpec) -> float:
     """Closed-form mean of the analytic family member."""
-    if spec.kind is FamilyKind.EXPONENTIAL:
-        return 1.0 / spec.alpha
-    if spec.kind is FamilyKind.GAMMA:
-        return (spec.n + 1) / spec.alpha
-    if spec.kind is FamilyKind.TWO_EXP_MIX:
-        return 0.5 * (1.0 / spec.alpha + 1.0 / spec.beta)
-    return (1.0 + spec.eps * spec.n) / spec.alpha
+    return sum(w * ((n + 1) / r) for w, r, n in _components(spec))
 
 
-def _gamma_image(alpha: float, m: int, x: np.ndarray) -> np.ndarray:
-    # B(gamma_a, gamma_b)(x) for orders with a + b + 1 = m
-    return alpha / m * regularized_upper_gamma(m, alpha * x)
-
-
-def _mix_step_values(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+def _bilinear_image(first: tuple[float, int], second: tuple[float, int], x: np.ndarray) -> np.ndarray:
+    """B(gamma(a, m), gamma(b, k)) at x for two (rate, order) components."""
+    (a, m), (b, k) = first, second
+    if a == b:
+        return a / (m + k + 1) * regularized_upper_gamma(m + k + 1, a * x)
+    # unequal rates: only the mix builds them, between two exponentials (m = k = 0);
+    # ab/(a-b) is formed as a * (b/(a-b)), which neither over- nor underflows
+    scale = a * (b / (a - b))
     out = np.empty_like(x)
     pos = x > 0.0
     xp = x[pos]
-    out[pos] = 0.25 * (
-        alpha * np.exp(-alpha * xp)
-        + beta * np.exp(-beta * xp)
-        + 2.0 * alpha * beta / (alpha - beta)
-        * (exp_integral_e1_array(beta * xp) - exp_integral_e1_array(alpha * xp))
-    )
+    out[pos] = scale * (exp_integral_e1_array(b * xp) - exp_integral_e1_array(a * xp))
     # removable singularity at 0: E1(b x) - E1(a x) -> ln(a/b)
-    out[~pos] = 0.25 * (alpha + beta + 2.0 * alpha * beta / (alpha - beta) * math.log(alpha / beta))
+    out[~pos] = scale * math.log(a / b)
     return out
 
 
 def closed_form_step_values(spec: FamilySpec, x) -> np.ndarray:
     """Pointwise closed-form image of the family under one operator step."""
     x = np.asarray(x, dtype=np.float64)
-    if spec.kind is FamilyKind.EXPONENTIAL:
-        raise ValueError("the exponential family is its own image; use sample_family")
-    if spec.kind is FamilyKind.GAMMA:
-        return _gamma_image(spec.alpha, 2 * spec.n + 1, x)
-    if spec.kind is FamilyKind.TWO_EXP_MIX:
-        return _mix_step_values(spec.alpha, spec.beta, x)
-    e = spec.eps
-    expo_part = spec.alpha * np.exp(-spec.alpha * x)
-    return (
-        (1.0 - e) ** 2 * expo_part
-        + e * e * _gamma_image(spec.alpha, 2 * spec.n + 1, x)
-        + 2.0 * e * (1.0 - e) * _gamma_image(spec.alpha, spec.n + 1, x)
-    )
+    comps = _components(spec)
+    diagonal = sum(w * w * _bilinear_image((r, n), (r, n), x) for w, r, n in comps)
+    return sum((2.0 * wk * wl * _bilinear_image((rk, nk), (rl, nl), x)
+                for (wk, rk, nk), (wl, rl, nl) in combinations(comps, 2)), diagonal)
 
 
 def closed_form_step(spec: FamilySpec, grid: Grid) -> Density:
@@ -174,7 +159,7 @@ def triangle_density(grid: Grid, mean: float = 1.0) -> Density:
         raise ValueError("grid must extend beyond the triangle support [0, 2*mean]")
     x = grid.nodes
     vals = np.where(
-        x <= mean, x / mean**2, np.where(x <= 2.0 * mean, (2.0 * mean - x) / mean**2, 0.0)
+        x <= mean, x / mean / mean, np.where(x <= 2.0 * mean, (2.0 * mean - x) / mean / mean, 0.0)
     )
     raw = Density(grid, vals)
     return raw.scaled(1.0 / quad_norm(raw))
@@ -193,10 +178,10 @@ def contraction_check(spec: FamilySpec, grid: Grid) -> ContractionResult:
 
     The reference is the exponential with rate 1/family_mean(spec).  The
     exponential family, and the gamma and epsilon members of order n = 0
-    that equal it, are their own image, so both distances coincide and they
-    are reported as contracted = False rather than an error.  oracle_l1_gap is
-    the L1 distance between the numerical step (apply_operator) and the
-    closed-form image.
+    that equal it, are their own image: the start stands in for the image, so
+    both distances coincide exactly (the summed epsilon image differs from
+    its start at rounding level) and contracted is False.  oracle_l1_gap is
+    the L1 distance between apply_operator and the closed-form image.
     """
     w = sample_family(FamilySpec(FamilyKind.EXPONENTIAL, alpha=1.0 / family_mean(spec)), grid)
     y = sample_family(spec, grid)

@@ -131,7 +131,9 @@ def tail_mass_estimate(y: Density) -> float:
 
     Fits an exponential to the last tenth of the domain (log-linear least
     squares over the positive samples there) and integrates it analytically
-    past the truncation point.  Compactly supported or zero tails give 0.
+    past the truncation point.  The fit runs in x / x_max, so no power of x
+    is formed and the estimate holds at any domain scale.  Compactly
+    supported or zero tails give 0.
     """
     last = float(y.values[-1])
     if last <= 0.0:
@@ -143,7 +145,7 @@ def tail_mass_estimate(y: Density) -> float:
     pos = vs > 0.0
     if pos.sum() < 2:
         return last * y.grid.x_max
-    slope = np.polyfit(xs[pos], np.log(vs[pos]), 1)[0]
+    slope = np.polyfit(xs[pos] / y.grid.x_max, np.log(vs[pos]), 1)[0] / y.grid.x_max
     rate = -slope
     if rate <= 0.0:
         return last * y.grid.x_max

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -41,6 +42,35 @@ def test_iterate_exponential_near_fixed(tmp_path):
     with open(tmp_path / "report.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert all(float(r["dist_to_target"]) < 1e-5 for r in rows)
+
+
+def read_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def test_iterate_is_scale_free_in_the_mean(tmp_path):
+    # the triangle, the operator step and the tail fit form no power of x,
+    # so a run at mean 1e+-200 reports what the mean-1 run does
+    reports = {}
+    for mean in ("1", "1e200", "1e-200"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(["iterate", "--mean", mean, "--steps", "8", "--out", tmp_path / mean])
+        assert rc == 0
+        reports[mean] = read_rows(tmp_path / mean / "report.csv")
+    for mean in ("1e200", "1e-200"):
+        for row, ref in zip(reports[mean], reports["1"], strict=True):
+            for key in ("dist_to_target", "step_delta"):
+                assert float(row[key]) == pytest.approx(float(ref[key]), rel=1e-11, abs=0.0)
+            assert float(row["norm"]) == pytest.approx(float(ref["norm"]), rel=0.0, abs=1e-12)
+
+
+def test_iterate_rejects_stop_delta_that_cannot_stop(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["iterate", "--stop-delta", "nan", "--steps", "3", "--out", out]) == 2
+    assert "early_stop_delta" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_iterate_missing_input_no_partial_outputs(tmp_path):
@@ -167,6 +197,21 @@ def test_families_exponential_is_its_own_image(tmp_path):
     assert rows[0]["d_before"] == rows[0]["d_after"]
     assert rows[0]["contracted"] == "false"
     assert float(rows[0]["oracle_l1_gap"]) <= 1e-12
+
+
+@pytest.mark.parametrize("family, scale", [("gamma", 1e-160), ("mix", 1e-200), ("mix", 1e200)])
+def test_families_row_is_scale_free_in_the_rates(tmp_path, family, scale):
+    # every rate times `scale` describes the same member on a dilated axis
+    rows = {}
+    for c in (1.0, scale):
+        args = ["--n", 1] if family == "gamma" else ["--beta", 3.0 * c]
+        rc = run_cli(["families", "--family", family, "--alpha", c, *args,
+                      "--n-points", 4097, "--out", tmp_path / str(c)])
+        assert rc == 0
+        (rows[c],) = read_rows(tmp_path / str(c) / "families.csv")
+    assert rows[scale]["contracted"] == rows[1.0]["contracted"] == "true"
+    for key in ("d_before", "d_after", "oracle_l1_gap"):
+        assert float(rows[scale][key]) == pytest.approx(float(rows[1.0][key]), rel=0.0, abs=1e-12)
 
 
 def test_families_rejects_order_above_cap(tmp_path):

@@ -32,7 +32,7 @@ from wealthgas import (
     write_reports_csv,
 )
 from wealthgas import evolution
-from wealthgas.evolution import REPORT_CSV_HEADER, doubled_nodes
+from wealthgas.evolution import REPORT_CSV_HEADER
 from wealthgas.verify import random_density, random_pdf
 
 GRID = make_grid(4097, 40.0)
@@ -50,9 +50,9 @@ def test_autoconvolve_exponential_analytic():
     # convolution exact, so agreement is near machine level
     y = Density(GRID, np.exp(-GRID.nodes))
     c = autoconvolve(y)
-    r = doubled_nodes(GRID)
     k = int(round(1.0 / GRID.spacing))
-    assert c[k] == pytest.approx(r[k] * math.exp(-r[k]), rel=1e-9)
+    r = k * GRID.spacing
+    assert c[k] == pytest.approx(r * math.exp(-r), rel=1e-9)
 
 
 def test_autoconvolve_box_gives_triangle():
@@ -251,6 +251,18 @@ def test_tail_health_rejects_fat_domain_overflow():
         apply_operator(y)
 
 
+@pytest.mark.parametrize("c", [1e-160, 1e160])
+def test_operator_commutes_with_dilation(c):
+    # y_c(x) = y(x/c)/c has image T(y)(x/c)/c; the step forms h*g with no
+    # power of h, so extreme spacings neither overflow nor underflow
+    rng = np.random.default_rng(21)
+    y = random_pdf(GRID, rng)
+    y_c = Density(make_grid(GRID.n_points, c * GRID.x_max), y.values / c)
+    ty = apply_operator(y).values
+    diff = np.abs(c * apply_operator(y_c).values - ty)
+    assert diff.max() <= 1e-13 * ty.max()
+
+
 def test_operator_works_at_minimum_grid():
     # conservation is algebraic, so it holds even on the coarsest legal grid
     g = make_grid(16, 40.0)
@@ -313,6 +325,12 @@ def test_iterate_early_stop():
     assert len(reports) < 50
     assert reports[-1].step_delta < 1e-9
     assert len(densities) == len(reports) + 1
+
+
+@pytest.mark.parametrize("delta", [math.nan, 0.0, -1.0])
+def test_iterate_rejects_stop_delta_that_cannot_stop(delta):
+    with pytest.raises(ValueError, match="early_stop_delta"):
+        iterate_operator(expo(GRID), 3, early_stop_delta=delta)
 
 
 def test_reports_csv_header_and_values(tmp_path):

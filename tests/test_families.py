@@ -27,6 +27,13 @@ def grid_for(spec, n_points=4097):
     return make_grid(n_points, 40.0 * family_mean(spec))
 
 
+def spec_id(spec):
+    return "-".join(str(v) for v in (spec.kind.value, spec.alpha, spec.beta, spec.n, spec.eps))
+
+
+every_lattice_member = pytest.mark.parametrize("spec", PARAMETER_LATTICE, ids=spec_id)
+
+
 # ---------------------------------------------------------------- sampling
 
 
@@ -105,19 +112,26 @@ def test_mix_mean_matches_quadrature():
     assert quad_mean(y) == pytest.approx(family_mean(spec), abs=5e-5)
 
 
-def test_gamma_mean_matches_quadrature():
-    for alpha, n in ((2.0, 1), (1.0, 2), (0.5, 5)):
-        spec = FamilySpec("gamma", alpha=alpha, n=n)
-        y = sample_family(spec, grid_for(spec))
-        assert quad_mean(y) == pytest.approx(family_mean(spec), rel=5e-5)
+@every_lattice_member
+def test_gamma_mean_matches_quadrature(spec):
+    # sum_k w_k (n_k+1)/r_k against the sampled moment of every lattice
+    # member; the O(h^2) bias peaks near 4.1e-6 relative (order-0 members)
+    y = sample_family(spec, grid_for(spec, n_points=16385))
+    assert quad_mean(y) == pytest.approx(family_mean(spec), rel=5e-5)
 
 
 # ---------------------------------------------------------------- closed forms
 
 
-def test_closed_form_rejects_exponential():
-    with pytest.raises(ValueError):
-        closed_form_step(FamilySpec("exponential", alpha=1.0), make_grid(64, 40.0))
+def test_order_zero_members_are_their_own_image():
+    # B(exp_a, exp_a) = a Q(1, a x) = a e^(-a x): the exponential's image is
+    # its own sample, bit for bit after normalization
+    order_zero = [FamilySpec("exponential", alpha=a) for a in (0.5, 1.0, 2.0)]
+    order_zero += [s for s in PARAMETER_LATTICE if s.kind is FamilyKind.GAMMA and s.n == 0]
+    assert len(order_zero) == 6
+    for spec in order_zero:
+        g = grid_for(spec)
+        assert np.array_equal(closed_form_step(spec, g).values, sample_family(spec, g).values)
 
 
 def test_gamma_step_value_at_zero():
@@ -156,6 +170,17 @@ def test_mix_step_zero_limit():
     assert vals[1] == pytest.approx(limit, rel=1e-6)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0, 3.0), (0.5, 1.5), (2.0, 3.0)])
+def test_mix_step_scipy_oracle(alpha, beta):
+    # (alpha e^(-alpha x) + beta e^(-beta x)
+    #  + 2 alpha beta/(alpha-beta) (E1(beta x) - E1(alpha x))) / 4 away from the origin
+    x = np.array([1e-3, 0.4, 2.1, 9.0, 30.0])
+    got = closed_form_step_values(FamilySpec("mix", alpha=alpha, beta=beta), x)
+    cross = 2 * alpha * beta / (alpha - beta) * (special.exp1(beta * x) - special.exp1(alpha * x))
+    oracle = 0.25 * (alpha * np.exp(-alpha * x) + beta * np.exp(-beta * x) + cross)
+    np.testing.assert_allclose(got, oracle, rtol=1e-13)
+
+
 def test_epsmix_step_reduces_to_gamma_at_eps_one():
     x = np.linspace(0.0, 30.0, 301)
     a = closed_form_step_values(FamilySpec("epsmix", alpha=1.0, n=2, eps=1.0), x)
@@ -183,18 +208,13 @@ def test_epsmix_step_matches_combined_published_form():
         np.testing.assert_allclose(got, oracle, rtol=1e-12)
 
 
-def test_closed_form_steps_conserve_mass_and_mean():
+@every_lattice_member
+def test_closed_form_steps_conserve_mass_and_mean(spec):
     # quadrature bias on the mean is O(h^2) * image(0); 16385 nodes put it
-    # near 1.5e-6 relative for the worst member here
-    for spec in (
-        FamilySpec("gamma", alpha=2.0, n=1),
-        FamilySpec("mix", alpha=1.0, beta=3.0),
-        FamilySpec("epsmix", alpha=1.0, n=2, eps=0.5),
-    ):
-        g = grid_for(spec, n_points=16385)
-        ty = closed_form_step(spec, g)
-        assert quad_norm(ty) == pytest.approx(1.0, abs=1e-6)
-        assert quad_mean(ty) == pytest.approx(family_mean(spec), rel=1e-5)
+    # near 2.9e-6 relative for the worst lattice member
+    ty = closed_form_step(spec, grid_for(spec, n_points=16385))
+    assert quad_norm(ty) == pytest.approx(1.0, abs=1e-6)
+    assert quad_mean(ty) == pytest.approx(family_mean(spec), rel=1e-5)
 
 
 def test_oracle_agreement_representative_points():
