@@ -92,12 +92,13 @@ class AgentEnsemble:
     transactions_done: int = 0
     total: float = 0.0
     _rng: np.random.Generator = field(repr=False, default=None)
+    initial_total: float = field(init=False)
 
     def __post_init__(self):
         self.money = np.ascontiguousarray(self.money, dtype=np.float64)
         if self._rng is None:
             self._rng = np.random.default_rng(np.random.PCG64(self.rng_seed))
-        self.total = float(self.money.sum())
+        self.total = self.initial_total = float(self.money.sum())
 
     @property
     def n_agents(self) -> int:
@@ -106,6 +107,11 @@ class AgentEnsemble:
     @property
     def mean_money(self) -> float:
         return self.total / self.n_agents
+
+    @property
+    def money_drift(self) -> float:
+        """Relative change of the total money since construction (exact exchanges give 0)."""
+        return (self.total - self.initial_total) / self.initial_total
 
 
 def init_ensemble(
@@ -241,6 +247,7 @@ def write_fit_json(path, ens: AgentEnsemble, fit: ExponentialFit) -> None:
     write_json(path, {
         "beta_hat": fit.beta_hat,
         "ks_statistic": fit.ks_statistic,
+        "money_drift": ens.money_drift,
         "n_samples": fit.n_samples,
         "transactions_done": ens.transactions_done,
         "seed": ens.rng_seed,

@@ -130,6 +130,16 @@ def test_total_money_conserved():
     assert ens.transactions_done == 1_000_000
 
 
+def test_money_drift_measured_from_the_initial_total():
+    ens = init_ensemble(1000, equal=1.0, seed=5)
+    assert ens.initial_total == ens.total == 1000.0
+    for _ in range(2):
+        run_transactions(ens, 500_000)
+        assert ens.initial_total == 1000.0
+        assert ens.money_drift == (ens.total - 1000.0) / 1000.0
+        assert abs(ens.money_drift) <= 1e-12
+
+
 def test_money_stays_nonnegative():
     ens = init_ensemble(500, equal=2.0, seed=6)
     run_transactions(ens, 200_000)
@@ -256,6 +266,9 @@ def test_io_files(tmp_path):
     hlines = (tmp_path / "h.csv").read_text().strip().splitlines()
     assert hlines[0] == "bin_left,bin_right,density"
     payload = json.loads((tmp_path / "f.json").read_text())
-    assert set(payload) == {"beta_hat", "ks_statistic", "n_samples", "transactions_done", "seed"}
+    assert set(payload) == {
+        "beta_hat", "ks_statistic", "money_drift", "n_samples", "transactions_done", "seed"
+    }
+    assert payload["money_drift"] == ens.money_drift
     assert payload["transactions_done"] == 1000
     assert payload["seed"] == 2

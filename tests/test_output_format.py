@@ -75,7 +75,8 @@ def test_ensemble_histogram_and_fit_bytes(tmp_path):
     )
     write_fit_json(tmp_path / "f.json", ens, ExponentialFit(1 / 0.7, 0.1, 3))
     assert (tmp_path / "f.json").read_bytes() == (
-        b'{\n  "beta_hat": 1.4285714285714286,\n  "ks_statistic": 0.1,\n  "n_samples": 3,\n'
+        b'{\n  "beta_hat": 1.4285714285714286,\n  "ks_statistic": 0.1,\n  "money_drift": 0.0,\n'
+        b'  "n_samples": 3,\n'
         b'  "seed": 7,\n  "transactions_done": 3\n}\n'
     )
 
