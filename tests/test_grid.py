@@ -201,6 +201,22 @@ def test_density_csv_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_density_csv_node_column_follows_the_grid(tmp_path):
+    # Alternate grids that share n_points, differ in it, or sit at a tiny
+    # scale, so a node column left over from the previous grid shows.
+    rng = np.random.default_rng(5)
+    grids = [make_grid(257, 17.0), make_grid(257, 40.0), make_grid(129, 17.0),
+             make_grid(257, 1e-160)]
+    for k, g in enumerate(grids + grids[::-1]):
+        y = Density(g, rng.random(g.n_points) / g.x_max)
+        path = tmp_path / f"d{k}.csv"
+        write_density_csv(path, y)
+        back = read_density_csv(path)
+        assert back.grid == g
+        assert np.array_equal(back.grid.nodes, g.nodes)
+        assert np.array_equal(back.values, y.values)
+
+
 def test_density_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0,1\n")

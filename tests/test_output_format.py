@@ -8,6 +8,8 @@ these pin the bytes against literals.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wealthgas import __version__, cli
 from wealthgas.agents import (
@@ -31,6 +33,60 @@ def test_write_csv_formats_numpy_scalars_like_python_ones(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == (
         b"a,b,c,d\r\n0.10000000000000001,0.10000000000000001,7,\r\n"
     )
+
+
+def test_write_csv_header_only(tmp_path):
+    write_csv(tmp_path / "h.csv", ("a", "b"), [])
+    assert (tmp_path / "h.csv").read_bytes() == b"a,b\r\n"
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([(1.0,)], ValueError),
+    ([(1.0, 2.0, 3.0)], ValueError),
+    ([(1.0, 2.0), (1.0, 2.0, 3.0)], TypeError),
+    ([(1.0, 2.0), (1.0,)], TypeError),
+    ([(1.0, 2.0), (1.0, "2")], TypeError),
+], ids=["first_short", "first_long", "later_long", "later_short", "str_in_float_column"])
+def test_write_csv_rejects_rows_unlike_the_first(tmp_path, rows, error):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(error):
+        write_csv(path, ("a", "b"), rows)
+    assert not path.exists()
+
+
+def _reference_csv(header, rows) -> bytes:
+    """The per-cell formatter that ``write_csv``'s row format must reproduce."""
+    lines = [",".join(header)]
+    lines += [",".join([f"{c:.17g}" if isinstance(c, float) else str(c) for c in row]) for row in rows]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-300, 1e308, np.inf, -np.inf, np.nan)
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_COLUMNS = {
+    "float": _floats,
+    "float64": _floats.map(np.float64),
+    "int": st.integers(-(2**70), 2**70),
+    "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "bool": st.booleans(),
+    "str": st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=',"')),
+}
+
+
+@st.composite
+def _homogeneous_table(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=5))
+    row = st.tuples(*(_COLUMNS[k] for k in kinds))
+    return tuple(f"c{i}" for i in range(len(kinds))), draw(st.lists(row, max_size=8))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_homogeneous_table())
+def test_write_csv_matches_the_per_cell_formatter(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.mktemp("eq") / "t.csv"
+    write_csv(path, header, rows)
+    assert path.read_bytes() == _reference_csv(header, rows)
 
 
 def test_density_csv_bytes(tmp_path):
