@@ -56,9 +56,22 @@ def _exchange_waves(money, ii, jj, eps):
 
     Cost per transaction, measured on a 2-core Xeon VM: 60-100 ns at
     N = 1e5, 130 ns at N = 2e4 and 150-200 ns at N = 1e6, against about
-    0.8-1.4 us for the loop in Python.  Small ensembles pay for it: below
-    N ~ 300 a window needs nearly one pass per transaction and the kernel
-    is slower than the loop, about 1.4 us at N = 100 and 17 us at N = 2.
+    0.8-1.4 us for the loop in Python.  Small ensembles pay for it: a
+    window of 64 transactions over few agents needs nearly one pass per
+    transaction.  ``run_transactions`` with 1e5 transactions, the range of
+    three seeds over two sessions (the loop run in the same process):
+
+        agents    kernel        loop in Python
+        10        11.5-17.5 us  0.9-1.2 us
+        100       1.8-2.6 us    0.8-0.9 us
+        200       1.7-2.9 us    0.9-1.2 us
+        300       1.1-1.5 us    0.9-1.0 us
+        1000      0.6-1.0 us    0.7-1.0 us
+
+    Below about 1000 agents the kernel is the slower one.  At these sizes a
+    whole ``simulate`` of 1e5 transactions still ends in under 2 s, and
+    one kernel keeps one code path; a size-selected scalar loop is not
+    worth a second one.
     """
     n = money.shape[0]
     width = max(64, n // 16)

@@ -36,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .evolution import apply_operator
-from .grid import Density, Grid, l1_distance, quad_norm
+from .grid import Density, Grid, l1_distance, normalized
 from .specialfn import MAX_ORDER, exp_integral_e1_array, regularized_upper_gamma
 
 
@@ -109,8 +109,7 @@ def evaluate_family(spec: FamilySpec, x) -> np.ndarray:
 def sample_family(spec: FamilySpec, grid: Grid) -> Density:
     """Family member sampled on the grid and normalized to unit quadrature mass."""
     vals = evaluate_family(spec, grid.nodes)
-    raw = Density(grid, vals)
-    return raw.scaled(1.0 / quad_norm(raw))
+    return normalized(Density(grid, vals))
 
 
 def family_mean(spec: FamilySpec) -> float:
@@ -147,8 +146,7 @@ def closed_form_step_values(spec: FamilySpec, x) -> np.ndarray:
 def closed_form_step(spec: FamilySpec, grid: Grid) -> Density:
     """Closed-form first iterate sampled on the grid, unit quadrature mass."""
     vals = closed_form_step_values(spec, grid.nodes)
-    raw = Density(grid, np.maximum(vals, 0.0))
-    return raw.scaled(1.0 / quad_norm(raw))
+    return normalized(Density(grid, np.maximum(vals, 0.0)))
 
 
 def triangle_density(grid: Grid, mean: float = 1.0) -> Density:
@@ -161,8 +159,7 @@ def triangle_density(grid: Grid, mean: float = 1.0) -> Density:
     vals = np.where(
         x <= mean, x / mean / mean, np.where(x <= 2.0 * mean, (2.0 * mean - x) / mean / mean, 0.0)
     )
-    raw = Density(grid, vals)
-    return raw.scaled(1.0 / quad_norm(raw))
+    return normalized(Density(grid, vals))
 
 
 @dataclass(frozen=True)

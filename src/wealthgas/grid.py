@@ -38,7 +38,12 @@ class DegenerateDensityError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform discretization of [0, x_max] with n_points nodes."""
+    """Uniform discretization of [0, x_max] with n_points nodes.
+
+    The node and weight arrays are built on first use and kept for the life
+    of the grid: every call returns the same read-only array, so a caller
+    that needs to modify one must copy it first.
+    """
 
     n_points: int
     x_max: float
@@ -47,13 +52,22 @@ class Grid:
     def spacing(self) -> float:
         return self.x_max / (self.n_points - 1)
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.x_max, self.n_points)
+        """The nodes x_i = i*h as one shared read-only array."""
+        x = np.linspace(0.0, self.x_max, self.n_points)
+        x.setflags(write=False)
+        return x
 
     def trap_weights(self) -> np.ndarray:
+        """The trapezoid weights h/2, h, ..., h, h/2 as one shared read-only array."""
+        return self._trap_weights
+
+    @functools.cached_property
+    def _trap_weights(self) -> np.ndarray:
         w = np.full(self.n_points, self.spacing)
         w[0] = w[-1] = 0.5 * self.spacing
+        w.setflags(write=False)
         return w
 
 
@@ -109,6 +123,21 @@ def _require_same_grid(y: Density, w: Density) -> None:
 def quad_norm(y: Density) -> float:
     """Trapezoid approximation of the total mass on [0, x_max]."""
     return float(y.grid.trap_weights() @ y.values)
+
+
+def normalized(y: Density, mass: float = 1.0) -> Density:
+    """``y`` scaled to quadrature mass ``mass``.
+
+    Raises DegenerateDensityError, naming the grid, when ``y`` has no
+    positive mass: its shape fell between the nodes or underflowed.
+    """
+    norm = quad_norm(y)
+    if not norm > 0.0:
+        raise DegenerateDensityError(
+            f"density on {y.grid} has quadrature mass {norm:g} and cannot be normalized; "
+            "the shape falls between the nodes or underflows on this grid"
+        )
+    return y.scaled(mass / norm)
 
 
 def quad_mean(y: Density) -> float:

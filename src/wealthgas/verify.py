@@ -32,7 +32,7 @@ from .evolution import (
     matched_exponential,
 )
 from .families import FamilyKind, FamilySpec, evaluate_family, sample_family, triangle_density
-from .grid import Density, Grid, l1_distance, make_grid, quad_mean, quad_norm
+from .grid import Density, Grid, l1_distance, make_grid, normalized, quad_mean, quad_norm
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,8 @@ def random_density(grid: Grid, rng: np.random.Generator, norm: float | None = No
         alpha = float(rng.uniform(max(0.8, (k + 1) / 2.0), 3.0))
         comp = evaluate_family(FamilySpec(FamilyKind.GAMMA, alpha=alpha, n=k), grid.nodes)
         vals += float(rng.uniform(0.2, 1.0)) * comp
-    y = Density(grid, vals)
     target = float(rng.uniform(0.25, 2.0)) if norm is None else norm
-    return y.scaled(target / quad_norm(y))
+    return normalized(Density(grid, vals), target)
 
 
 def random_pdf(grid: Grid, rng: np.random.Generator) -> Density:
@@ -99,7 +98,7 @@ def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[Prop
         y = random_density(grid, rng)
         ty = apply_operator(y)
         worst_norm = max(worst_norm, abs(quad_norm(ty) - quad_norm(y) ** 2))
-        p = y.scaled(1.0 / quad_norm(y))
+        p = normalized(y)
         tp = apply_operator(p)
         worst_mean = max(worst_mean, abs(quad_mean(tp) - quad_mean(p)) / quad_mean(p))
     checks.append(_check("norm_squaring", worst_norm, 1e-7, detail="max |norm(Ty) - norm(y)^2|"))
@@ -145,8 +144,7 @@ def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[Prop
 
     # no 2-cycles: T^2 y close to y forces Ty close to y
     violations = 0
-    near_fixed = Density(grid, expo.values * (1.0 + 0.05 * np.sin(grid.nodes)))
-    near_fixed = near_fixed.scaled(1.0 / quad_norm(near_fixed))
+    near_fixed = normalized(Density(grid, expo.values * (1.0 + 0.05 * np.sin(grid.nodes))))
     candidates = [random_pdf(grid, rng) for _ in range(N_RANDOM - 2)] + [expo, near_fixed]
     for y in candidates:
         ty = apply_operator(y)
@@ -202,7 +200,7 @@ def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[Prop
     pdf = random_pdf(grid, rng)
     rough = Density(grid, rng.random(grid.n_points))
     worst_eq = 0.0
-    for y in (expo, pdf, rough.scaled(1.0 / quad_norm(rough))):
+    for y in (expo, pdf, normalized(rough)):
         a = grid.trap_weights() * y.values
         direct = np.convolve(a, a) / grid.spacing
         direct[0] = 0.0

@@ -97,6 +97,16 @@ def test_iterate_out_is_a_file_exits_2(tmp_path, capsys):
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("n_points", [16, 21])
+def test_iterate_triangle_between_the_nodes_exits_2(tmp_path, capsys, n_points):
+    # at spacing 40/(N-1) >= 2 the triangle on [0, 2] is zero at every node
+    out = tmp_path / "out"
+    assert run_cli(["iterate", "--n-points", n_points, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"Grid(n_points={n_points}, x_max=40.0)" in err
+    assert not out.exists()
+
+
 def test_iterate_reproducible_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["iterate", "--family", "gamma", "--alpha", "2", "--n", "1",
@@ -238,6 +248,15 @@ def test_verify_coarse_resolution_fails(tmp_path):
     assert by_name["ode_residual_fixed_point"]["pass"] is False
     for p in report["properties"]:
         assert {"name", "measured", "threshold", "comparison", "pass"} <= set(p)
+
+
+def test_verify_underflowing_domain_exits_2(tmp_path, capsys):
+    # on [0, 1e-300] the random gamma shapes underflow to zero mass
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--x-max", "1e-300", "--n-points", "65", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x_max=1e-300" in err
+    assert not out.exists()
 
 
 def test_manifest_records_resolved_options(tmp_path):

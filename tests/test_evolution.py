@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from wealthgas import (
@@ -93,13 +95,12 @@ def test_apply_operator_matches_direct_sum(monkeypatch):
     assert l1_distance(apply_operator(y), fft) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [4097, 4096, 3000])
-def test_weighted_autoconv_matches_direct_sum_on_every_entry(n):
+def _assert_every_entry_matches_direct_sum(n, seed):
     # uniform random samples keep the last one of order one, so the entry
-    # a_{N-1}^2 that the length-8192 circular transform wraps onto A_0 at
-    # N = 4097 is visible; N = 4096 and 3000 are padded and wrap nothing.
-    # Measured max error 6e-16, 7e-16, 8e-16 of max A: the bound has 100x margin
-    rng = np.random.default_rng(n)
+    # a_{N-1}^2 that the circular even half wraps onto A_0 at N = L+1 is
+    # visible, and a missing one-sample delay on the odd samples' square
+    # moves every even entry
+    rng = np.random.default_rng(seed)
     y = Density(make_grid(n, 40.0), rng.random(n))
     direct = _direct_weighted_autoconv(y)
     got = evolution._weighted_autoconv(y)
@@ -107,20 +108,37 @@ def test_weighted_autoconv_matches_direct_sum_on_every_entry(n):
     assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(direct)
 
 
-@pytest.mark.parametrize("n,size", [(4097, 8192), (4096, 8192), (3000, 8192)])
+@pytest.mark.parametrize("n", [4097, 4096, 3000, 17, 16])
+def test_weighted_autoconv_matches_direct_sum_on_every_entry(n):
+    # odd and even N, at and off N = L+1 (L = 4096 or 16).  Measured max
+    # error 1e-16 to 8e-16 of max A: the bound has over 100x margin
+    _assert_every_entry_matches_direct_sum(n, n)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(16, 600) | st.sampled_from([2**k + 1 for k in range(4, 10)]),
+       st.integers(0, 2**32 - 1))
+def test_weighted_autoconv_matches_direct_sum_for_any_size(n, seed):
+    # sizes N = 2^k+1, where the even half wraps, are drawn on purpose
+    _assert_every_entry_matches_direct_sum(n, seed)
+
+
+@pytest.mark.parametrize("n,size", [(4097, 4096), (4096, 4096), (3000, 4096)])
 def test_operator_fft_length(monkeypatch, n, size):
-    # the transform length is the next power of two >= 2N-2, not >= 2N-1,
-    # which at N = 2^k+1 would double it
+    # the even and odd samples take two forward and two inverse real
+    # transforms, each at the next power of two >= N-1
     lengths = []
-    rfft = np.fft.rfft
 
-    def recording_rfft(a, length=None, *args, **kwargs):
-        lengths.append(length)
-        return rfft(a, length, *args, **kwargs)
+    def recording(transform):
+        def call(a, length=None, *args, **kwargs):
+            lengths.append(length)
+            return transform(a, length, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft))
     apply_operator(expo(make_grid(n, 40.0)))
-    assert lengths == [size]
+    assert lengths == [size] * 4
 
 
 # ---------------------------------------------------------------- apply_operator
@@ -136,6 +154,17 @@ def test_exponential_is_fixed_point(alpha):
 def test_zero_maps_to_zero():
     y = Density(GRID, np.zeros(GRID.n_points))
     assert np.all(apply_operator(y).values == 0.0)
+
+
+def test_apply_operator_leaves_its_input_untouched():
+    # the step works in place in its own buffer, never in the input's
+    # values or the grid's shared node and weight arrays
+    y = random_pdf(GRID, np.random.default_rng(8))
+    values, nodes, weights = y.values.copy(), GRID.nodes.copy(), GRID.trap_weights().copy()
+    apply_operator(y)
+    assert np.array_equal(y.values, values)
+    assert np.array_equal(GRID.nodes, nodes)
+    assert np.array_equal(GRID.trap_weights(), weights)
 
 
 def test_gamma_image_matches_closed_form():

@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 
 from wealthgas import (
+    DegenerateDensityError,
     FamilySpec,
     apply_operator,
     closed_form_step,
@@ -293,3 +294,14 @@ def test_triangle_density_shape():
 def test_triangle_requires_room():
     with pytest.raises(ValueError):
         triangle_density(make_grid(64, 2.0), 1.0)
+
+
+def test_zero_mass_samples_raise_degenerate_density():
+    # the triangle on [0, 2] falls between nodes 2 apart; the closed-form
+    # image, of order alpha at x = 0, underflows when multiplied by a
+    # spacing of order 1e-301
+    with pytest.raises(DegenerateDensityError, match=r"Grid\(n_points=21, x_max=40.0\)"):
+        triangle_density(make_grid(21, 40.0), 1.0)
+    spec = FamilySpec("gamma", alpha=1e-300, n=1)
+    with pytest.raises(DegenerateDensityError, match=r"x_max=1e-300"):
+        closed_form_step(spec, make_grid(16, 1e-300))

@@ -17,6 +17,7 @@ from wealthgas import (
     tail_mass_estimate,
     write_density_csv,
 )
+from wealthgas.grid import normalized
 
 
 def sampled(grid, fn):
@@ -45,6 +46,33 @@ def test_grid_endpoints_exact():
     g = make_grid(4097, 40.0)
     assert g.nodes[0] == 0.0
     assert g.nodes[-1] == 40.0
+
+
+def test_grid_arrays_are_shared_and_read_only():
+    g = make_grid(65, 10.0)
+    for get in (lambda: g.nodes, g.trap_weights):
+        first = get()
+        assert get() is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[1] = 0.0
+    assert np.array_equal(g.nodes, np.linspace(0.0, 10.0, 65))
+    assert np.array_equal(g.trap_weights(), np.r_[0.5, np.ones(63), 0.5] * g.spacing)
+    # built arrays do not enter equality or hashing
+    assert g == make_grid(65, 10.0) and hash(g) == hash(make_grid(65, 10.0))
+
+
+def test_normalized_scales_to_the_requested_mass():
+    g = make_grid(65, 10.0)
+    y = sampled(g, lambda x: np.exp(-x))
+    assert np.array_equal(normalized(y).values, y.scaled(1.0 / quad_norm(y)).values)
+    assert np.array_equal(normalized(y, 0.5).values, y.scaled(0.5 / quad_norm(y)).values)
+
+
+def test_normalized_rejects_zero_mass_naming_the_grid():
+    g = make_grid(16, 40.0)
+    with pytest.raises(DegenerateDensityError, match=r"Grid\(n_points=16, x_max=40.0\)"):
+        normalized(Density(g, np.zeros(16)))
 
 
 def test_grid_equality_is_by_parameters():
