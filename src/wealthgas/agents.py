@@ -247,13 +247,13 @@ def fit_exponential(ens: AgentEnsemble) -> ExponentialFit:
 
 
 def write_ensemble_csv(path, ens: AgentEnsemble) -> None:
-    write_csv(path, ("agent_id", "money"), enumerate(ens.money.tolist()))
+    write_csv(path, ("agent_id", "money"), (range(ens.n_agents), ens.money.tolist()))
 
 
 def write_histogram_csv(path, hist: HistogramEstimate) -> None:
     edges = hist.bin_edges.tolist()
     write_csv(path, ("bin_left", "bin_right", "density"),
-              zip(edges[:-1], edges[1:], hist.densities.tolist()))
+              (edges[:-1], edges[1:], hist.densities.tolist()))
 
 
 def write_fit_json(path, ens: AgentEnsemble, fit: ExponentialFit) -> None:

@@ -141,10 +141,9 @@ FAMILIES_CSV_HEADER = (
 )
 
 
-def _spec_label(spec: FamilySpec) -> tuple:
+def _label_column(values) -> list:
     """Label cells as strings, so alpha = 1.0 is written ``1.0`` and an unset field empty."""
-    return tuple("" if v is None else str(v)
-                 for v in (spec.kind.value, spec.alpha, spec.beta, spec.n, spec.eps))
+    return ["" if v is None else str(v) for v in values]
 
 
 def cmd_families(args) -> tuple[int, dict]:
@@ -153,13 +152,15 @@ def cmd_families(args) -> tuple[int, dict]:
         specs = [_family_spec_from_args(args)]
     else:
         specs = list(PARAMETER_LATTICE)
-    rows = []
-    for spec in specs:
-        res = contraction_check(spec, default_grid(family_mean(spec), args.n_points))
-        rows.append(_spec_label(spec) + (
-            res.d_before, res.d_after, str(res.contracted).lower(), res.oracle_l1_gap))
+    results = [contraction_check(spec, default_grid(family_mean(spec), args.n_points))
+               for spec in specs]
+    columns = [_label_column(spec.kind.value for spec in specs)]
+    columns += [_label_column(getattr(spec, name) for spec in specs)
+                for name in ("alpha", "beta", "n", "eps")]
+    columns += [[r.d_before for r in results], [r.d_after for r in results],
+                [str(r.contracted).lower() for r in results], [r.oracle_l1_gap for r in results]]
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "families.csv", FAMILIES_CSV_HEADER, rows)
+    write_csv(out_dir / "families.csv", FAMILIES_CSV_HEADER, columns)
     return 0, {
         "n_points": args.n_points,
         "family": args.family,

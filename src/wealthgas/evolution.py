@@ -28,6 +28,7 @@ import numpy as np
 from .grid import (
     Density,
     Grid,
+    frozen,
     l1_distance,
     quad_mean,
     quad_norm,
@@ -142,7 +143,7 @@ def apply_operator(y: Density) -> Density:
             f"operator output at x_max is {out[-1]:.3e} > {TAIL_EPSILON:.0e} * max "
             f"({top:.3e}); the domain truncation is no longer negligible"
         )
-    return Density(grid, out)
+    return Density(grid, frozen(out))
 
 
 def matched_exponential(grid: Grid, mean: float) -> Density:
@@ -160,7 +161,7 @@ def matched_exponential(grid: Grid, mean: float) -> Density:
     rate = 1.0 / mean
     for _ in range(60):
         vals = np.exp(-rate * x)
-        target = Density(grid, vals / float(grid.trap_weights() @ vals))
+        target = Density(grid, frozen(vals / float(grid.trap_weights() @ vals)))
         m = quad_mean(target)
         if abs(m - mean) <= 1e-15 * mean:
             break
@@ -242,11 +243,8 @@ REPORT_CSV_HEADER = ("step", "norm", "mean", "mass_defect", "dist_to_target", "s
 
 
 def write_reports_csv(path, reports: list[IterationReport]) -> None:
-    write_csv(
-        path,
-        REPORT_CSV_HEADER,
-        [(r.step, r.norm, r.mean, r.mass_defect, r.dist_to_target, r.step_delta) for r in reports],
-    )
+    write_csv(path, REPORT_CSV_HEADER,
+              [[getattr(r, name) for r in reports] for name in REPORT_CSV_HEADER])
 
 
 def characteristic_function(y: Density, p_values) -> np.ndarray:

@@ -36,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .evolution import apply_operator
-from .grid import Density, Grid, l1_distance, normalized
+from .grid import Density, Grid, frozen, l1_distance, normalized
 from .specialfn import MAX_ORDER, exp_integral_e1_array, regularized_upper_gamma
 
 
@@ -109,7 +109,7 @@ def evaluate_family(spec: FamilySpec, x) -> np.ndarray:
 def sample_family(spec: FamilySpec, grid: Grid) -> Density:
     """Family member sampled on the grid and normalized to unit quadrature mass."""
     vals = evaluate_family(spec, grid.nodes)
-    return normalized(Density(grid, vals))
+    return normalized(Density(grid, frozen(vals)))
 
 
 def family_mean(spec: FamilySpec) -> float:
@@ -146,7 +146,7 @@ def closed_form_step_values(spec: FamilySpec, x) -> np.ndarray:
 def closed_form_step(spec: FamilySpec, grid: Grid) -> Density:
     """Closed-form first iterate sampled on the grid, unit quadrature mass."""
     vals = closed_form_step_values(spec, grid.nodes)
-    return normalized(Density(grid, np.maximum(vals, 0.0)))
+    return normalized(Density(grid, frozen(np.maximum(vals, 0.0))))
 
 
 def triangle_density(grid: Grid, mean: float = 1.0) -> Density:
@@ -159,7 +159,7 @@ def triangle_density(grid: Grid, mean: float = 1.0) -> Density:
     vals = np.where(
         x <= mean, x / mean / mean, np.where(x <= 2.0 * mean, (2.0 * mean - x) / mean / mean, 0.0)
     )
-    return normalized(Density(grid, vals))
+    return normalized(Density(grid, frozen(vals)))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,7 @@ and ``write_json``).
 
 from __future__ import annotations
 
-import csv
 import functools
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -91,13 +89,23 @@ def default_grid(mean: float = 1.0, n_points: int = DEFAULT_N_POINTS) -> Grid:
 
 @dataclass(frozen=True)
 class Density:
-    """Nonnegative sampled function on a Grid (values[i] = y(x_i))."""
+    """Nonnegative sampled function on a Grid (values[i] = y(x_i)).
+
+    ``values`` is read-only.  A read-only C-contiguous float64 array is
+    adopted without a copy (the package's producers hand over such arrays,
+    freshly made); any other input, a writeable array included, is copied.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        vals = self.values
+        # Adopt a frozen float64 array as is; copy anything else, so freezing
+        # the values below never reaches an array the caller can still write.
+        if not (type(vals) is np.ndarray and vals.dtype == np.float64
+                and vals.flags.c_contiguous and not vals.flags.writeable):
+            vals = np.array(vals, dtype=np.float64)
         if vals.ndim != 1 or vals.shape[0] != self.grid.n_points:
             raise ValueError("values must be a 1-D array matching the grid")
         if not np.all(np.isfinite(vals)):
@@ -110,7 +118,13 @@ class Density:
     def scaled(self, c: float) -> "Density":
         if c < 0.0:
             raise ValueError("scale factor must be nonnegative")
-        return Density(self.grid, c * self.values)
+        return Density(self.grid, frozen(c * self.values))
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, for handing a freshly made array to Density without a copy."""
+    a.setflags(write=False)
+    return a
 
 
 def _require_same_grid(y: Density, w: Density) -> None:
@@ -184,26 +198,34 @@ def tail_mass_estimate(y: Density) -> float:
     return last / rate
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header row and ``rows`` as CSV with CRLF line ends.
+def write_csv(path, header, columns) -> None:
+    """Write a header row and ``columns`` as CSV with CRLF line ends.
 
-    Every row is a tuple with the cell types of the first row: one row
-    format is built from the first row and applied to all of them.  A
-    ``float`` cell (numpy ``float64`` included) is written at 17 significant
-    digits, which round-trips bit-exactly; every other cell goes through
-    ``str()``.  A first row whose length differs from the header's raises
-    ValueError; a later row of another length, or a ``str`` in a float
-    column, raises TypeError.  Cells are not quoted, so none may hold a
-    comma, a quote or a line break.
+    ``columns`` holds one sequence per header cell, all of one length.  A
+    column's cells share the type of its first cell: one row format is
+    built from the first cells, repeated once per row and applied to the
+    interleaved cells in a single ``%``.  A ``float`` cell (numpy
+    ``float64`` included) is written at 17 significant digits, which
+    round-trips bit-exactly; every other cell goes through ``str()``.  A
+    column count other than the header's, or columns of unequal length,
+    raise ValueError; a ``str`` in a float column raises TypeError.  The
+    file is written only once the whole text is built, so nothing is
+    written when either is raised.  Cells are not quoted, so none may hold
+    a comma, a quote or a line break.
     """
-    rows = iter(rows)
-    first = next(rows, None)
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for a header of {len(header)} cells")
+    n = len(columns[0]) if columns else 0
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
     body = ""
-    if first is not None:
-        if len(first) != len(header):
-            raise ValueError(f"first row has {len(first)} cells, the header {len(header)}")
-        fmt = ",".join(["%.17g" if isinstance(c, float) else "%s" for c in first]) + "\r\n"
-        body = "".join(map(fmt.__mod__, itertools.chain([first], rows)))
+    if n:
+        k = len(columns)
+        flat = [None] * (n * k)
+        for j, col in enumerate(columns):
+            flat[j::k] = col
+        fmt = ",".join(["%.17g" if isinstance(c, float) else "%s" for c in flat[:k]]) + "\r\n"
+        body = (fmt * n) % tuple(flat)
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
         f.write(body)
@@ -216,34 +238,58 @@ def write_json(path, payload) -> None:
 
 
 DENSITY_CSV_HEADER = ("x", "density")
+_DENSITY_HEADER_LINE = ",".join(DENSITY_CSV_HEADER)
 
 
 @functools.lru_cache(maxsize=1)
-def _node_cells(grid: Grid) -> tuple:
-    """The node column as ``.17g`` cells, formatted once for all densities on one grid."""
-    return tuple(["%.17g" % x for x in grid.nodes.tolist()])
+def _density_template(grid: Grid) -> str:
+    """The density CSV of ``grid`` with its node cells filled and a ``%.17g`` slot per value.
+
+    Built once for all densities on one grid; about 30 bytes per node.
+    """
+    nodes = grid.nodes.tolist()
+    return _DENSITY_HEADER_LINE + "\r\n" + ("%.17g,%%.17g\r\n" * len(nodes)) % tuple(nodes)
 
 
 def write_density_csv(path, y: Density) -> None:
-    """Serialize as two-column CSV at full double precision (round-trips bit-exactly)."""
-    write_csv(path, DENSITY_CSV_HEADER, zip(_node_cells(y.grid), y.values.tolist()))
+    """Serialize as two-column CSV at full double precision (round-trips bit-exactly).
+
+    The bytes are those of ``write_csv`` on the node and value columns; the
+    text is the grid's cached template filled with the values in one ``%``.
+    """
+    text = _density_template(y.grid) % tuple(y.values.tolist())
+    with open(path, "w", newline="") as f:
+        f.write(text)
 
 
 def read_density_csv(path) -> Density:
-    """Parse a CSV written by ``write_density_csv``; malformed input raises ValueError."""
+    """Parse a CSV written by ``write_density_csv``; malformed input raises ValueError.
+
+    The first line must read ``x,density``.  Every later line must hold two
+    unquoted numbers and nothing else, with LF or CRLF line ends; numpy's C
+    reader parses them, correctly rounded, so a node column written at
+    fewer digits (``0.5``) reads back as the same doubles.  A blank line, a
+    missing or extra cell, a quoted or non-numeric cell, no data rows, or a
+    node column that is not the uniform grid given by its length and last
+    node are rejected.
+    """
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = tuple(next(reader, ()))
-        if header != DENSITY_CSV_HEADER:
-            raise ValueError(f"expected header {DENSITY_CSV_HEADER}, got {header}")
-        try:
-            table = np.array([(float(xi), float(vi)) for xi, vi in reader])
-        except ValueError as exc:
-            raise ValueError(f"{path}: every data row must hold two numbers ({exc})") from None
-    if table.size == 0:
+        header = f.readline().rstrip("\r\n")
+        lines = f.read().splitlines()
+    if header != _DENSITY_HEADER_LINE:
+        raise ValueError(f"expected header {_DENSITY_HEADER_LINE!r}, got {header!r}")
+    if not lines:
         raise ValueError(f"{path}: no data rows after the header")
-    x, vals = table[:, 0], table[:, 1]
+    if "" in lines:
+        raise ValueError(f"{path}: blank line at data row {lines.index('') + 1}")
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: every data row must hold two numbers ({exc})") from None
+    if table.shape[1] != 2:
+        raise ValueError(f"{path}: every data row must hold two numbers, got {table.shape[1]}")
+    x = table[:, 0]
     grid = make_grid(len(x), x[-1])
     if not np.array_equal(grid.nodes, x):
         raise ValueError("node column is not the uniform grid implied by its length and endpoint")
-    return Density(grid, vals)
+    return Density(grid, frozen(table[:, 1].copy()))

@@ -167,6 +167,18 @@ def test_apply_operator_leaves_its_input_untouched():
     assert np.array_equal(GRID.trap_weights(), weights)
 
 
+def test_apply_operator_result_is_adopted_without_a_copy(monkeypatch):
+    handed = []
+
+    def spy(grid, values):
+        handed.append(values)
+        return Density(grid, values)
+
+    monkeypatch.setattr(evolution, "Density", spy)
+    out = apply_operator(random_pdf(GRID, np.random.default_rng(9)))
+    assert out.values is handed[-1]
+
+
 def test_gamma_image_matches_closed_form():
     # closed form of the first gamma-family step is the oracle; a finer grid
     # is used because the conservative trapezoid scheme carries an O(h^2)

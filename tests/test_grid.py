@@ -1,6 +1,7 @@
 """Grid, density, and quadrature tests against analytic oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from wealthgas import (
     tail_mass_estimate,
     write_density_csv,
 )
+from wealthgas import grid as grid_module
 from wealthgas.grid import normalized
 
 
@@ -94,6 +96,37 @@ def test_density_values_are_immutable():
     y = Density(g, np.ones(16))
     with pytest.raises(ValueError):
         y.values[0] = 2.0
+
+
+def test_density_copies_a_writeable_input():
+    v = np.ones(16)
+    y = Density(make_grid(16, 15.0), v)
+    assert v.flags.writeable
+    v += 1.0
+    assert np.all(y.values == 1.0)
+
+
+def test_density_adopts_a_frozen_input():
+    v = np.ones(16)
+    v.setflags(write=False)
+    assert Density(make_grid(16, 15.0), v).values is v
+
+
+@pytest.mark.parametrize("produce", [
+    lambda y, path: y.scaled(2.0),
+    lambda y, path: (write_density_csv(path, y), read_density_csv(path))[1],
+], ids=["scaled", "read_density_csv"])
+def test_producers_hand_density_a_frozen_array(monkeypatch, tmp_path, produce):
+    handed = []
+
+    def spy(g, values):
+        handed.append(values)
+        return Density(g, values)
+
+    y = Density(make_grid(16, 15.0), np.arange(16.0))
+    monkeypatch.setattr(grid_module, "Density", spy)
+    out = produce(y, tmp_path / "d.csv")
+    assert out.values is handed[-1]
 
 
 def test_quad_norm_exponential_against_analytic_integral():
@@ -252,16 +285,64 @@ def test_density_csv_rejects_wrong_header(tmp_path):
         read_density_csv(path)
 
 
+# A valid file on make_grid(16, 15.0), then each malformed case as one edit
+# of it, so every rejection below comes from the reader and not from a
+# grid too short to build.
+_GOOD_ROWS = [f"{x},1.0" for x in range(16)]
+
+
+def _density_text(rows) -> str:
+    return "\n".join(["x,density", *rows]) + "\n"
+
+
+def _with_row(k, row) -> str:
+    return _density_text(_GOOD_ROWS[:k] + [row] + _GOOD_ROWS[k + 1:])
+
+
 @pytest.mark.parametrize(
     "text",
-    ["", "x,density\n", "x,density\n0.0,1.0\n1.0\n", "x,density\n0.0,1.0\n1.0,abc\n"],
-    ids=["empty", "header_only", "short_row", "non_numeric"],
+    [
+        "",
+        "x,density\n",
+        _with_row(5, "5"),
+        _with_row(5, "5,abc"),
+        _density_text(_GOOD_ROWS[:6] + [""] + _GOOD_ROWS[6:]),
+        _with_row(5, "5,1.0,2.0"),
+        _density_text([row + ",0" for row in _GOOD_ROWS]),
+        _with_row(5, "5,1.0,"),
+        _with_row(5, '"5",1.0'),
+    ],
+    ids=["empty", "header_only", "short_row", "non_numeric", "blank_line", "three_columns",
+         "every_row_three_columns", "trailing_comma", "quoted_cell"],
 )
 def test_density_csv_rejects_malformed_input(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(ValueError):
-        read_density_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's reader warns on input with no rows
+        with pytest.raises(ValueError):
+            read_density_csv(path)
+
+
+def test_density_csv_good_rows_read(tmp_path):
+    # the unedited text behind the malformed cases is itself valid
+    path = tmp_path / "good.csv"
+    path.write_text(_density_text(_GOOD_ROWS))
+    assert read_density_csv(path).grid == make_grid(16, 15.0)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_density_csv_reads_either_line_end_and_short_cells(tmp_path, newline):
+    # node cells like 0.5 and values at their shortest repr, fewer than 17 digits
+    g = make_grid(16, 7.5)
+    vals = np.random.default_rng(2).random(16)
+    lines = ["x,density"] + [f"{x!r},{v!r}" for x, v in zip(g.nodes.tolist(), vals.tolist())]
+    path = tmp_path / "short.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    back = read_density_csv(path)
+    assert back.grid == g
+    assert np.array_equal(back.grid.nodes, g.nodes)
+    assert np.array_equal(back.values, vals)
 
 
 def test_density_csv_rejects_nonuniform_nodes(tmp_path):

@@ -22,40 +22,51 @@ from wealthgas.agents import (
 )
 from wealthgas.evolution import IterationReport, write_reports_csv
 from wealthgas.families import ContractionResult, FamilyKind, triangle_density
-from wealthgas.grid import Density, make_grid, write_csv, write_density_csv
+from wealthgas.grid import (
+    DENSITY_CSV_HEADER,
+    Density,
+    make_grid,
+    read_density_csv,
+    write_csv,
+    write_density_csv,
+)
 from wealthgas.verify import PropertyCheck
 
 VERSION = __version__.encode()
 
 
 def test_write_csv_formats_numpy_scalars_like_python_ones(tmp_path):
-    write_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), [(np.float64(0.1), 0.1, np.int64(7), "")])
+    columns = [[np.float64(0.1)], [0.1], [np.int64(7)], [""]]
+    write_csv(tmp_path / "t.csv", ("a", "b", "c", "d"), columns)
     assert (tmp_path / "t.csv").read_bytes() == (
         b"a,b,c,d\r\n0.10000000000000001,0.10000000000000001,7,\r\n"
     )
 
 
 def test_write_csv_header_only(tmp_path):
-    write_csv(tmp_path / "h.csv", ("a", "b"), [])
+    write_csv(tmp_path / "h.csv", ("a", "b"), [[], []])
     assert (tmp_path / "h.csv").read_bytes() == b"a,b\r\n"
 
 
-@pytest.mark.parametrize("rows, error", [
-    ([(1.0,)], ValueError),
-    ([(1.0, 2.0, 3.0)], ValueError),
-    ([(1.0, 2.0), (1.0, 2.0, 3.0)], TypeError),
-    ([(1.0, 2.0), (1.0,)], TypeError),
-    ([(1.0, 2.0), (1.0, "2")], TypeError),
+@pytest.mark.parametrize("columns, error", [
+    ([[1.0]], ValueError),
+    ([[1.0], [2.0], [3.0]], ValueError),
+    ([[1.0], [2.0, 3.0]], ValueError),
+    ([[1.0, 2.0], [1.0]], ValueError),
+    ([[1.0, 1.0], [2.0, "2"]], TypeError),
 ], ids=["first_short", "first_long", "later_long", "later_short", "str_in_float_column"])
-def test_write_csv_rejects_rows_unlike_the_first(tmp_path, rows, error):
+def test_write_csv_rejects_rows_unlike_the_first(tmp_path, columns, error):
+    # Too few or too many columns for the header, a later column longer or
+    # shorter than the first, or a cell whose type differs from its column's
+    # first cell: each raises before the file is opened.
     path = tmp_path / "bad.csv"
     with pytest.raises(error):
-        write_csv(path, ("a", "b"), rows)
+        write_csv(path, ("a", "b"), columns)
     assert not path.exists()
 
 
 def _reference_csv(header, rows) -> bytes:
-    """The per-cell formatter that ``write_csv``'s row format must reproduce."""
+    """The per-cell formatter, over rows, that ``write_csv``'s bulk format must reproduce."""
     lines = [",".join(header)]
     lines += [",".join([f"{c:.17g}" if isinstance(c, float) else str(c) for c in row]) for row in rows]
     return ("\r\n".join(lines) + "\r\n").encode()
@@ -84,8 +95,9 @@ def _homogeneous_table(draw):
 @given(_homogeneous_table())
 def test_write_csv_matches_the_per_cell_formatter(tmp_path_factory, table):
     header, rows = table
+    columns = [[row[j] for row in rows] for j in range(len(header))]
     path = tmp_path_factory.mktemp("eq") / "t.csv"
-    write_csv(path, header, rows)
+    write_csv(path, header, columns)
     assert path.read_bytes() == _reference_csv(header, rows)
 
 
@@ -98,6 +110,26 @@ def test_density_csv_bytes(tmp_path):
         b"8,2.6666666666666665\r\n9,3\r\n10,3.3333333333333335\r\n11,3.6666666666666665\r\n"
         b"12,4\r\n13,4.333333333333333\r\n14,4.666666666666667\r\n15,5\r\n"
     )
+
+
+@st.composite
+def _density(draw):
+    n_points = draw(st.integers(16, 200))
+    grid = make_grid(n_points, draw(st.sampled_from([1e-160, 17.0, 1e160])))
+    value = st.one_of(st.sampled_from([0.0, 5e-324, 1e308]), st.floats(0.0, 1e308))
+    return Density(grid, draw(st.lists(value, min_size=n_points, max_size=n_points)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_density())
+def test_density_template_matches_the_per_cell_formatter(tmp_path_factory, y):
+    path = tmp_path_factory.mktemp("den") / "d.csv"
+    write_density_csv(path, y)
+    rows = zip(y.grid.nodes.tolist(), y.values.tolist())
+    assert path.read_bytes() == _reference_csv(DENSITY_CSV_HEADER, rows)
+    back = read_density_csv(path)
+    assert back.grid == y.grid
+    assert np.array_equal(back.values, y.values)
 
 
 def test_reports_csv_bytes(tmp_path):
