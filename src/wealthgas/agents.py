@@ -16,13 +16,19 @@ values distinct from i (the shifted-draw equivalent of rejecting i = j).
 The drawn transactions are applied by one numpy kernel whose result is
 bit-identical to the plain sequential loop (see ``_exchange_waves``).
 
-Time-scale note: per transaction the second-moment gap
-G = M2 - 2<m>^2 shrinks by the factor 1 - 2/(3N), so N/2 transactions
-shrink it by e^{-1/3} ~ 0.7165, not by the 2/3 of one application of the
-macroscopic redistribution operator.  For this slowest mode one operator
-step therefore corresponds to (3/2) ln(3/2) N ~ 0.61 N transactions.  The
-rule only aligns reporting between the two pictures; nothing in either
-algorithm depends on it.
+Exact finite-N laws: the pair update resamples (m_i, m_j) uniformly on the
+segment of fixed sum, a Gibbs step for the uniform measure on the simplex
+sum m = M, so at equilibrium one agent holds M * Beta(1, N-1).  With
+S2 = sum m^2 and S2* = 2 M^2/(N+1), each transaction shrinks E[S2 - S2*]
+by the factor 1 - 2(N+1)/(3N(N-1)); at N = 2 it is 0 and one trade
+equilibrates.
+
+Time-scale note: for large N the factor is 1 - 2/(3N) to leading order,
+so N/2 transactions shrink the gap by about e^{-1/3} ~ 0.7165, not by the
+2/3 of one application of the macroscopic redistribution operator.  For
+this slowest mode one operator step therefore corresponds to
+(3/2) ln(3/2) N ~ 0.61 N transactions.  The rule only aligns reporting
+between the two pictures; nothing in either algorithm depends on it.
 """
 
 from __future__ import annotations

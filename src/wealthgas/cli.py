@@ -49,17 +49,18 @@ from .grid import (
 from .verify import VerifySettings, report_as_dict, run_property_suite
 
 FAMILIES_DEFAULT_N_POINTS = 32769
+FAMILY_KINDS = [kind.value for kind in FamilyKind]
+FAMILY_OPTIONS = ("alpha", "beta", "n", "eps")
 
 
 def _family_spec_from_args(args) -> FamilySpec:
-    kind = FamilyKind(args.family)
-    if kind is FamilyKind.EXPONENTIAL:
-        return FamilySpec(kind, alpha=args.alpha)
-    if kind is FamilyKind.GAMMA:
-        return FamilySpec(kind, alpha=args.alpha, n=args.n)
-    if kind is FamilyKind.TWO_EXP_MIX:
-        return FamilySpec(kind, alpha=args.alpha, beta=args.beta)
-    return FamilySpec(kind, alpha=args.alpha, n=args.n, eps=args.eps)
+    """The member named by ``--family``; FamilySpec drops the options its kind does not use."""
+    return FamilySpec(args.family, **{name: getattr(args, name) for name in FAMILY_OPTIONS})
+
+
+def _family_record(spec: FamilySpec) -> dict:
+    """Manifest fields of a family member: its kind and options, None where the kind uses none."""
+    return {"family": spec.kind.value, **{name: getattr(spec, name) for name in FAMILY_OPTIONS}}
 
 
 def _resolve_initial(args):
@@ -77,8 +78,7 @@ def _resolve_initial(args):
     else:
         spec = _family_spec_from_args(args)
         mean = family_mean(spec)
-        record = {"family": spec.kind.value, "alpha": spec.alpha, "beta": spec.beta,
-                  "n": spec.n, "eps": spec.eps}
+        record = _family_record(spec)
     x_max = args.x_max if args.x_max is not None else DOMAIN_MEAN_MULTIPLE * mean
     grid = make_grid(args.n_points, x_max)
     record.update({"n_points": grid.n_points, "x_max": grid.x_max})
@@ -155,20 +155,13 @@ def cmd_families(args) -> tuple[int, dict]:
     results = [contraction_check(spec, default_grid(family_mean(spec), args.n_points))
                for spec in specs]
     columns = [_label_column(spec.kind.value for spec in specs)]
-    columns += [_label_column(getattr(spec, name) for spec in specs)
-                for name in ("alpha", "beta", "n", "eps")]
+    columns += [_label_column(getattr(spec, name) for spec in specs) for name in FAMILY_OPTIONS]
     columns += [[r.d_before for r in results], [r.d_after for r in results],
                 [str(r.contracted).lower() for r in results], [r.oracle_l1_gap for r in results]]
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "families.csv", FAMILIES_CSV_HEADER, columns)
-    return 0, {
-        "n_points": args.n_points,
-        "family": args.family,
-        "alpha": args.alpha if args.family else None,
-        "beta": args.beta if args.family else None,
-        "n": args.n if args.family else None,
-        "eps": args.eps if args.family else None,
-    }
+    record = _family_record(specs[0]) if args.family else dict.fromkeys(["family", *FAMILY_OPTIONS])
+    return 0, {"n_points": args.n_points, **record}
 
 
 def _add_family_options(p: argparse.ArgumentParser) -> None:
@@ -191,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_it.add_mutually_exclusive_group()
     group.add_argument(
         "--family",
-        choices=["triangle", "exponential", "gamma", "mix", "epsmix"],
+        choices=["triangle", *FAMILY_KINDS],
         default="triangle",
         help="named initial condition",
     )
@@ -225,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam = sub.add_parser("families", help="reproduce the closed-form family checks")
     p_fam.add_argument(
         "--family",
-        choices=["exponential", "gamma", "mix", "epsmix"],
+        choices=FAMILY_KINDS,
         default=None,
         help="restrict to a single family member instead of the full lattice",
     )

@@ -28,7 +28,6 @@ import numpy as np
 from .grid import (
     Density,
     Grid,
-    frozen,
     l1_distance,
     quad_mean,
     quad_norm,
@@ -143,7 +142,7 @@ def apply_operator(y: Density) -> Density:
             f"operator output at x_max is {out[-1]:.3e} > {TAIL_EPSILON:.0e} * max "
             f"({top:.3e}); the domain truncation is no longer negligible"
         )
-    return Density(grid, frozen(out))
+    return Density(grid, out)
 
 
 def matched_exponential(grid: Grid, mean: float) -> Density:
@@ -161,7 +160,7 @@ def matched_exponential(grid: Grid, mean: float) -> Density:
     rate = 1.0 / mean
     for _ in range(60):
         vals = np.exp(-rate * x)
-        target = Density(grid, frozen(vals / float(grid.trap_weights() @ vals)))
+        target = Density(grid, vals / float(grid.trap_weights() @ vals))
         m = quad_mean(target)
         if abs(m - mean) <= 1e-15 * mean:
             break

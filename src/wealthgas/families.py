@@ -36,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .evolution import apply_operator
-from .grid import Density, Grid, frozen, l1_distance, normalized
+from .grid import Density, Grid, l1_distance, normalized
 from .specialfn import MAX_ORDER, exp_integral_e1_array, regularized_upper_gamma
 
 
@@ -49,7 +49,12 @@ class FamilyKind(str, Enum):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parameter record for one analytic family member."""
+    """Parameter record for one analytic family member.
+
+    ``beta`` belongs to ``mix``, ``n`` to ``gamma`` and ``epsmix``, ``eps``
+    to ``epsmix``.  An option the kind does not use is set to None, so a
+    caller may pass every option and the record keeps only those it uses.
+    """
 
     kind: FamilyKind
     alpha: float = 1.0
@@ -68,14 +73,20 @@ class FamilySpec:
             if self.n > MAX_ORDER // 2:
                 raise ValueError(f"n capped at {MAX_ORDER // 2}, got {self.n}")
             object.__setattr__(self, "n", int(self.n))
+        else:
+            object.__setattr__(self, "n", None)
         if self.kind is FamilyKind.TWO_EXP_MIX:
             if self.beta is None or not self.beta > 0.0:
                 raise ValueError(f"beta must be positive, got {self.beta}")
             if self.beta == self.alpha:
                 raise ValueError("mix requires alpha != beta (closed form divides by alpha-beta)")
+        else:
+            object.__setattr__(self, "beta", None)
         if self.kind is FamilyKind.EPSILON_MIX:
             if self.eps is None or not 0.0 <= self.eps <= 1.0:
                 raise ValueError(f"eps must lie in [0, 1], got {self.eps}")
+        else:
+            object.__setattr__(self, "eps", None)
 
 
 def _components(spec: FamilySpec) -> tuple[tuple[float, float, int], ...]:
@@ -109,7 +120,7 @@ def evaluate_family(spec: FamilySpec, x) -> np.ndarray:
 def sample_family(spec: FamilySpec, grid: Grid) -> Density:
     """Family member sampled on the grid and normalized to unit quadrature mass."""
     vals = evaluate_family(spec, grid.nodes)
-    return normalized(Density(grid, frozen(vals)))
+    return normalized(Density(grid, vals))
 
 
 def family_mean(spec: FamilySpec) -> float:
@@ -146,7 +157,7 @@ def closed_form_step_values(spec: FamilySpec, x) -> np.ndarray:
 def closed_form_step(spec: FamilySpec, grid: Grid) -> Density:
     """Closed-form first iterate sampled on the grid, unit quadrature mass."""
     vals = closed_form_step_values(spec, grid.nodes)
-    return normalized(Density(grid, frozen(np.maximum(vals, 0.0))))
+    return normalized(Density(grid, np.maximum(vals, 0.0)))
 
 
 def triangle_density(grid: Grid, mean: float = 1.0) -> Density:
@@ -159,7 +170,7 @@ def triangle_density(grid: Grid, mean: float = 1.0) -> Density:
     vals = np.where(
         x <= mean, x / mean / mean, np.where(x <= 2.0 * mean, (2.0 * mean - x) / mean / mean, 0.0)
     )
-    return normalized(Density(grid, frozen(vals)))
+    return normalized(Density(grid, vals))
 
 
 @dataclass(frozen=True)

@@ -91,21 +91,17 @@ def default_grid(mean: float = 1.0, n_points: int = DEFAULT_N_POINTS) -> Grid:
 class Density:
     """Nonnegative sampled function on a Grid (values[i] = y(x_i)).
 
-    ``values`` is read-only.  A read-only C-contiguous float64 array is
-    adopted without a copy (the package's producers hand over such arrays,
-    freshly made); any other input, a writeable array included, is copied.
+    ``values`` is a private read-only float64 copy of the input, taken
+    whatever the input is, so the density and the caller's array never
+    share memory.  The copy costs about 0.2 ms at N = 262145 on a 2-core
+    Xeon VM, against 25-35 ms for an operator step there.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = self.values
-        # Adopt a frozen float64 array as is; copy anything else, so freezing
-        # the values below never reaches an array the caller can still write.
-        if not (type(vals) is np.ndarray and vals.dtype == np.float64
-                and vals.flags.c_contiguous and not vals.flags.writeable):
-            vals = np.array(vals, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.shape[0] != self.grid.n_points:
             raise ValueError("values must be a 1-D array matching the grid")
         if not np.all(np.isfinite(vals)):
@@ -118,13 +114,7 @@ class Density:
     def scaled(self, c: float) -> "Density":
         if c < 0.0:
             raise ValueError("scale factor must be nonnegative")
-        return Density(self.grid, frozen(c * self.values))
-
-
-def frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only, for handing a freshly made array to Density without a copy."""
-    a.setflags(write=False)
-    return a
+        return Density(self.grid, c * self.values)
 
 
 def _require_same_grid(y: Density, w: Density) -> None:
@@ -292,4 +282,4 @@ def read_density_csv(path) -> Density:
     grid = make_grid(len(x), x[-1])
     if not np.array_equal(grid.nodes, x):
         raise ValueError("node column is not the uniform grid implied by its length and endpoint")
-    return Density(grid, frozen(table[:, 1].copy()))
+    return Density(grid, table[:, 1])

@@ -184,6 +184,66 @@ def test_second_moment_gap_law():
     assert all(abs(r - math.exp(-1.0 / 3.0)) <= 0.015 for r in ratios), ratios
 
 
+def _s2_factor(n):
+    """Exact per-transaction factor of E[S2 - S2*], S2 = sum m^2, S2* = 2 M^2/(N+1)."""
+    return 1.0 - 2.0 * (n + 1) / (3.0 * n * (n - 1))
+
+
+def test_one_trade_equilibrates_two_agents():
+    # at N = 2 the factor is 0: S2 = M^2 (1 - 2 eps (1 - eps)) has mean 2M^2/3
+    # and standard deviation M^2 / sqrt(45) = 0.149 M^2 per seed
+    assert _s2_factor(2) == 0.0
+    seeds = 2000
+    s2 = []
+    for seed in range(seeds):
+        ens = run_transactions(init_ensemble(2, equal=0.5, seed=seed), 1)
+        s2.append(float(ens.money @ ens.money))
+    assert abs(np.mean(s2) - 2.0 / 3.0) <= 5.0 * (1.0 / math.sqrt(45.0)) / math.sqrt(seeds)
+
+
+def test_second_moment_gap_exact_law_at_ten_agents():
+    # E[S2 - S2*] shrinks by exactly 0.6538 over 5 transactions at N = 10,
+    # where the leading-order factor (1 - 2/(3N))^5 would give 0.7082; the
+    # bound is 5 standard errors of the mean ratio over the seeds, and it
+    # must be narrow enough to tell the two laws apart
+    n, seeds = 10, 2000
+    s2_star = 2.0 * n**2 / (n + 1)
+    gap0 = n - s2_star  # equal start: S2 = N for M = N
+    ratios = []
+    for seed in range(seeds):
+        ens = run_transactions(init_ensemble(n, equal=1.0, seed=seed), 5)
+        ratios.append((float(ens.money @ ens.money) - s2_star) / gap0)
+    exact, leading = _s2_factor(n) ** 5, (1.0 - 2.0 / (3.0 * n)) ** 5
+    assert exact == pytest.approx(0.6538, abs=1e-4) and leading == pytest.approx(0.7082, abs=1e-4)
+    bound = 5.0 * np.std(ratios, ddof=1) / math.sqrt(seeds)
+    assert bound < (leading - exact) / 2.0
+    assert abs(np.mean(ratios) - exact) <= bound
+
+
+def _ks(sorted_sample, cdf):
+    n = sorted_sample.shape[0]
+    f = cdf(sorted_sample)
+    return float(max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n)))
+
+
+def test_equilibrium_marginal_is_scaled_beta_at_ten_agents():
+    # the pair update is a Gibbs step for the uniform measure on the simplex
+    # sum m = M, so one agent's money is M Beta(1, N-1) exactly.  2000
+    # snapshots 5N transactions apart, after a 200N burn-in, pool 20000
+    # values; an agent goes untouched between snapshots with probability
+    # (1 - 2/N)^(5N) ~ 1e-5, and values within a snapshot are negatively
+    # associated, so the bound is the 99.9% Kolmogorov quantile 1.95/sqrt(n)
+    # of n independent draws.  The N -> inf law, Exp of mean M/N, lies
+    # outside that bound.
+    n = 10
+    ens = run_transactions(init_ensemble(n, equal=1.0, seed=0), 200 * n)
+    snapshots = [run_transactions(ens, 5 * n).money.copy() for _ in range(2000)]
+    u = np.sort(np.concatenate(snapshots)) / n
+    bound = 1.95 / math.sqrt(u.shape[0])
+    assert _ks(u, lambda v: 1.0 - (1.0 - v) ** (n - 1)) <= bound
+    assert _ks(u, lambda v: 1.0 - np.exp(-n * v)) > bound
+
+
 def test_determinism_bit_identical():
     a = run_transactions(init_ensemble(1000, equal=1.0, seed=42), 100_000)
     b = run_transactions(init_ensemble(1000, equal=1.0, seed=42), 100_000)
@@ -251,6 +311,18 @@ def test_equilibration_ks_drops():
     ens = run_transactions(init_ensemble(n, equal=1.0, seed=33), 100 * n)
     fit = fit_exponential(ens)
     assert fit.ks_statistic <= 0.012
+
+
+def test_run_transactions_rejects_a_nonpositive_count():
+    with pytest.raises(ValueError, match="count must be positive, got 0"):
+        run_transactions(init_ensemble(10, equal=1.0, seed=0), 0)
+
+
+def test_fit_rejects_one_agent_and_zero_money():
+    with pytest.raises(ValueError, match="fit needs at least 2 agents"):
+        fit_exponential(AgentEnsemble(money=np.ones(1), rng_seed=0))
+    with pytest.raises(ValueError, match="degenerate ensemble: zero total money"):
+        fit_exponential(AgentEnsemble(money=np.zeros(5), rng_seed=0))
 
 
 def test_io_files(tmp_path):

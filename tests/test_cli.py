@@ -224,6 +224,15 @@ def test_families_row_is_scale_free_in_the_rates(tmp_path, family, scale):
         assert float(rows[scale][key]) == pytest.approx(float(rows[1.0][key]), rel=0.0, abs=1e-12)
 
 
+def test_families_default_runs_the_whole_lattice(tmp_path):
+    assert run_cli(["families", "--n-points", "2049", "--out", tmp_path]) == 0
+    rows = read_rows(tmp_path / "families.csv")
+    assert len(rows) == 54
+    assert json.loads((tmp_path / "manifest.json").read_text())["options"] == {
+        "n_points": 2049, "family": None, "alpha": None, "beta": None, "n": None, "eps": None,
+    }
+
+
 def test_families_rejects_order_above_cap(tmp_path):
     rc = run_cli(["families", "--family", "gamma", "--n", "41", "--out", tmp_path])
     assert rc == 2

@@ -30,11 +30,13 @@ from wealthgas import (
     quad_mean,
     quad_norm,
     sample_family,
+    tail_mass_estimate,
     triangle_density,
     write_reports_csv,
 )
 from wealthgas import evolution
 from wealthgas.evolution import REPORT_CSV_HEADER
+from wealthgas.grid import normalized
 from wealthgas.verify import random_density, random_pdf
 
 GRID = make_grid(4097, 40.0)
@@ -165,18 +167,6 @@ def test_apply_operator_leaves_its_input_untouched():
     assert np.array_equal(y.values, values)
     assert np.array_equal(GRID.nodes, nodes)
     assert np.array_equal(GRID.trap_weights(), weights)
-
-
-def test_apply_operator_result_is_adopted_without_a_copy(monkeypatch):
-    handed = []
-
-    def spy(grid, values):
-        handed.append(values)
-        return Density(grid, values)
-
-    monkeypatch.setattr(evolution, "Density", spy)
-    out = apply_operator(random_pdf(GRID, np.random.default_rng(9)))
-    assert out.values is handed[-1]
 
 
 def test_gamma_image_matches_closed_form():
@@ -390,6 +380,22 @@ def test_iterate_signals_mass_defect():
         iterate_operator(y0, 1)
 
 
+def test_iterate_signals_mass_defect_at_a_step():
+    # the start's tail is clean, but the box at [25, 30] pushes T(y) to x_max
+    g = make_grid(4097, 40.0)
+    x = g.nodes
+    w = 1e-3
+    y0 = normalized(Density(g, (1 - w) * 2 * np.exp(-2 * x) + w * ((x >= 25) & (x <= 30)) / 5))
+    assert tail_mass_estimate(y0) <= 1e-6
+    with pytest.raises(MassDefectError, match=r"mass defect 7\.08\de-05 > 1e-06 at step 1;"):
+        iterate_operator(y0, 3)
+
+
+def test_iterate_rejects_a_nonpositive_step_count():
+    with pytest.raises(ValueError, match="n_steps must be positive, got 0"):
+        iterate_operator(expo(GRID), 0)
+
+
 def test_iterate_early_stop():
     y0 = expo(GRID)
     densities, reports = iterate_operator(y0, 50, early_stop_delta=1e-9)
@@ -431,6 +437,11 @@ def test_matched_exponential_rejects_unreachable_mean(mean):
     # exponential on [0, 40] (it used to end at 20.0)
     with pytest.raises(ValueError, match="rate search ended"):
         matched_exponential(GRID, mean)
+
+
+def test_matched_exponential_rejects_a_nonpositive_mean():
+    with pytest.raises(ValueError, match="mean must be positive, got 0.0"):
+        matched_exponential(GRID, 0.0)
 
 
 def test_iterate_rejects_unmatchable_target():
@@ -488,6 +499,11 @@ def test_ode_residual_rejects_zero_p():
         fixed_point_ode_residual(y, [0.0, 1.0])
 
 
+def test_ode_residual_rejects_a_nonpositive_step():
+    with pytest.raises(ValueError, match="central-difference step must be positive, got 0.0"):
+        fixed_point_ode_residual(expo(GRID), [1.0], step=0.0)
+
+
 def test_ode_residual_central_difference_order():
     # with steps large enough that finite-difference truncation dominates the
     # quadrature floor, halving the step divides the residual by ~4
@@ -503,3 +519,10 @@ def test_derivative_at_zero_exponential():
     for m in range(4):
         # y ~ e^-x so the m-th derivative at 0 is (-1)^m
         assert derivative_at_zero(y, m) == pytest.approx((-1.0) ** m, rel=5e-4)
+
+
+def test_derivative_at_zero_rejects_bad_order_and_coarse_grid():
+    with pytest.raises(ValueError, match=r"order must be in 0\.\.3, got 4"):
+        derivative_at_zero(expo(GRID), 4)
+    with pytest.raises(ValueError, match="grid too coarse for derivative extrapolation"):
+        derivative_at_zero(expo(make_grid(32, 10.0)), 0)

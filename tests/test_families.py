@@ -296,6 +296,11 @@ def test_triangle_requires_room():
         triangle_density(make_grid(64, 2.0), 1.0)
 
 
+def test_triangle_rejects_a_nonpositive_mean():
+    with pytest.raises(ValueError, match="mean must be positive, got 0.0"):
+        triangle_density(make_grid(64, 2.0), 0.0)
+
+
 def test_zero_mass_samples_raise_degenerate_density():
     # the triangle on [0, 2] falls between nodes 2 apart; the closed-form
     # image, of order alpha at x = 0, underflows when multiplied by a

@@ -6,6 +6,8 @@ keys and a trailing newline.  The other tests compare a run with itself;
 these pin the bytes against literals.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,7 +208,7 @@ def test_manifest_bytes(tmp_path, monkeypatch):
     assert cli.main(["families", *args, "--out", "fam"]) == 0
     assert (tmp_path / "fam" / "manifest.json").read_bytes() == _manifest(
         b"families",
-        b'    "alpha": 1.0,\n    "beta": 3.0,\n    "eps": 0.25,\n'
+        b'    "alpha": 1.0,\n    "beta": null,\n    "eps": 0.25,\n'
         b'    "family": "epsmix",\n    "n": 2,\n    "n_points": 32769',
     )
 
@@ -241,6 +243,22 @@ def test_manifest_bytes(tmp_path, monkeypatch):
     assert (tmp_path / "ver" / "manifest.json").read_bytes() == _manifest(
         b"verify", b'    "n_points": 64,\n    "seed": 20240901,\n    "x_max": 40.0'
     )
+
+
+@pytest.mark.parametrize("kind", [k.value for k in FamilyKind])
+def test_families_manifest_records_the_options_iterate_records(tmp_path, monkeypatch, kind):
+    # every option is passed; each manifest keeps only those the kind uses
+    monkeypatch.setattr(cli, "contraction_check", _fixed_contraction)
+    opts = ["--family", kind, "--alpha", "2", "--beta", "0.5", "--n", "3", "--eps", "0.75"]
+    assert cli.main(["families", *opts, "--out", str(tmp_path / "fam")]) == 0
+    assert cli.main(["iterate", *opts, "--steps", "1", "--n-points", "1025",
+                     "--out", str(tmp_path / "it")]) == 0
+    fam = json.loads((tmp_path / "fam" / "manifest.json").read_text())["options"]
+    it = json.loads((tmp_path / "it" / "manifest.json").read_text())["options"]
+    fields = ("family", "alpha", "beta", "n", "eps")
+    assert {k: fam[k] for k in fields} == {k: it[k] for k in fields}
+    used = {"exponential": (), "gamma": ("n",), "mix": ("beta",), "epsmix": ("n", "eps")}[kind]
+    assert [k for k in fields[2:] if fam[k] is not None] == list(used)
 
 
 def test_verify_report_bytes(tmp_path, monkeypatch):
