@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Density, quad_norm, write_csv, write_json
+from .grid import DegenerateDensityError, Density, quad_norm, write_csv, write_json
 
 _CHUNK = 1 << 20
 
@@ -143,7 +143,8 @@ def init_ensemble(
     """Create an ensemble, either all-equal or sampled from a density.
 
     Density sampling inverts the trapezoid-integrated CDF at uniform draws
-    (piecewise-linear inverse CDF over the grid nodes).
+    (piecewise-linear inverse CDF over the grid nodes); a density with no
+    mass raises DegenerateDensityError.
     """
     if n_agents < 2:
         raise ValueError(f"need at least 2 agents, got {n_agents}")
@@ -159,7 +160,7 @@ def init_ensemble(
     else:
         norm = quad_norm(from_density)
         if norm <= 0.0:
-            raise ValueError("cannot sample agents from a zero-norm density")
+            raise DegenerateDensityError("cannot sample agents from a zero-norm density")
         grid = from_density.grid
         mids = 0.5 * (from_density.values[:-1] + from_density.values[1:])
         cdf = np.concatenate([[0.0], np.cumsum(mids * grid.spacing)]) / norm

@@ -46,7 +46,7 @@ from .grid import (
     write_density_csv,
     write_json,
 )
-from .verify import VerifySettings, report_as_dict, run_property_suite
+from .verify import VerifySettings, format_checks, report_as_dict, run_property_suite
 
 FAMILIES_DEFAULT_N_POINTS = 32769
 FAMILY_KINDS = [kind.value for kind in FamilyKind]
@@ -126,10 +126,7 @@ def cmd_verify(args) -> tuple[int, dict]:
     checks = run_property_suite(settings)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "verify_report.json", report_as_dict(checks, settings))
-    width = max(len(c.name) for c in checks)
-    for c in checks:
-        mark = "pass" if c.passed else "FAIL"
-        print(f"[{mark}] {c.name:<{width}}  measured={c.measured:.6e}  {c.comparison} {c.threshold:.6e}")
+    print(format_checks(checks))
     failed = [c.name for c in checks if not c.passed]
     if failed:
         print(f"failed properties: {', '.join(failed)}", file=sys.stderr)

@@ -67,7 +67,7 @@ def _weighted_autoconv(y: Density) -> np.ndarray:
     circular even half wraps its one out-of-range term, a_{N-1}^2, onto A_0,
     which the exact A_0 overwrites.
     """
-    a = y.grid.trap_weights() * y.values
+    a = y.grid.trap_weights * y.values
     n = a.shape[0]
     size = 1
     while size < n - 1:
@@ -160,7 +160,7 @@ def matched_exponential(grid: Grid, mean: float) -> Density:
     rate = 1.0 / mean
     for _ in range(60):
         vals = np.exp(-rate * x)
-        target = Density(grid, vals / float(grid.trap_weights() @ vals))
+        target = Density(grid, vals / float(grid.trap_weights @ vals))
         m = quad_mean(target)
         if abs(m - mean) <= 1e-15 * mean:
             break
@@ -197,14 +197,13 @@ def iterate_operator(
     target is the sampled exponential whose discrete mean equals
     quad_mean(y0), the distribution the iteration conserves its mean toward.
     Raises MassDefectError if an iterate's estimated truncation loss exceeds
-    1e-6: the domain is then too small for the requested run.
+    1e-6: the domain is then too small for the requested run.  A start with
+    no mass raises DegenerateDensityError from quad_mean.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be positive, got {n_steps}")
     if early_stop_delta is not None and not early_stop_delta > 0.0:
         raise ValueError(f"early_stop_delta must be positive, got {early_stop_delta}")
-    if quad_norm(y0) <= 0.0:
-        raise ValueError("iteration requires a density with positive mass")
     defect0 = tail_mass_estimate(y0)
     if defect0 > MASS_DEFECT_LIMIT:
         raise MassDefectError(
@@ -249,7 +248,7 @@ def write_reports_csv(path, reports: list[IterationReport]) -> None:
 def characteristic_function(y: Density, p_values) -> np.ndarray:
     """ybar(p) = integral_0^xmax e^(ipx) y(x) dx by trapezoid quadrature."""
     p = np.atleast_1d(np.asarray(p_values, dtype=np.float64))
-    wv = y.grid.trap_weights() * y.values
+    wv = y.grid.trap_weights * y.values
     phases = np.exp(1j * np.outer(p, y.grid.nodes))
     return phases @ wv
 

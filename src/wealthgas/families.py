@@ -67,7 +67,7 @@ class FamilySpec:
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.kind in (FamilyKind.GAMMA, FamilyKind.EPSILON_MIX):
-            if self.n is None or int(self.n) != self.n or self.n < 0:
+            if self.n is None or not self.n >= 0 or not float(self.n).is_integer():
                 raise ValueError(f"n must be a nonnegative integer, got {self.n}")
             # the closed-form step needs Gamma(2n+1, .), whose order 2n is capped
             if self.n > MAX_ORDER // 2:

@@ -39,7 +39,7 @@ class Grid:
     """Uniform discretization of [0, x_max] with n_points nodes.
 
     The node and weight arrays are built on first use and kept for the life
-    of the grid: every call returns the same read-only array, so a caller
+    of the grid: every access returns the same read-only array, so a caller
     that needs to modify one must copy it first.
     """
 
@@ -57,12 +57,9 @@ class Grid:
         x.setflags(write=False)
         return x
 
+    @functools.cached_property
     def trap_weights(self) -> np.ndarray:
         """The trapezoid weights h/2, h, ..., h, h/2 as one shared read-only array."""
-        return self._trap_weights
-
-    @functools.cached_property
-    def _trap_weights(self) -> np.ndarray:
         w = np.full(self.n_points, self.spacing)
         w[0] = w[-1] = 0.5 * self.spacing
         w.setflags(write=False)
@@ -126,7 +123,7 @@ def _require_same_grid(y: Density, w: Density) -> None:
 
 def quad_norm(y: Density) -> float:
     """Trapezoid approximation of the total mass on [0, x_max]."""
-    return float(y.grid.trap_weights() @ y.values)
+    return float(y.grid.trap_weights @ y.values)
 
 
 def normalized(y: Density, mass: float = 1.0) -> Density:
@@ -150,7 +147,7 @@ def quad_mean(y: Density) -> float:
     For a unit-norm density this is the mean wealth.  Raises on zero-mass
     input, where the mean is undefined.
     """
-    w = y.grid.trap_weights()
+    w = y.grid.trap_weights
     if float(w @ y.values) == 0.0:
         raise DegenerateDensityError("mean undefined for a zero-norm density")
     return float(w @ (y.grid.nodes * y.values))
@@ -159,7 +156,7 @@ def quad_mean(y: Density) -> float:
 def l1_distance(y: Density, w: Density) -> float:
     """Trapezoid approximation of the L1 distance between two densities."""
     _require_same_grid(y, w)
-    return float(y.grid.trap_weights() @ np.abs(y.values - w.values))
+    return float(y.grid.trap_weights @ np.abs(y.values - w.values))
 
 
 def tail_mass_estimate(y: Density) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 from wealthgas import (
     AgentEnsemble,
+    DegenerateDensityError,
     FamilySpec,
     fit_exponential,
     histogram,
@@ -87,7 +88,7 @@ def test_init_from_zero_density_rejected():
     from wealthgas import Density
 
     g = make_grid(64, 10.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateDensityError):
         init_ensemble(10, from_density=Density(g, np.zeros(64)), seed=0)
 
 
@@ -171,7 +172,8 @@ def test_run_transactions_matches_sequential_loop(n, counts):
 
 
 def test_second_moment_gap_law():
-    # per transaction G = M2 - 2<m>^2 shrinks by 1 - 2/(3N), so each block of
+    # per transaction G = M2 - 2<m>^2 shrinks by 1 - 2/(3N) to leading order
+    # in 1/N (the exact factor is 1 - 2(N+1)/(3N(N-1))), so each block of
     # N/2 transactions shrinks it by e^{-1/3} = 0.7165, not by the operator's
     # 2/3; the 0.015 band excludes 2/3 (seeds 0-39 deviate by at most 0.0149)
     n = 100_000

@@ -76,6 +76,9 @@ def test_spec_validation():
         FamilySpec("exponential", alpha=0.0)
     with pytest.raises(ValueError):
         FamilySpec("gamma", alpha=1.0, n=-1)
+    for n in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            FamilySpec("gamma", alpha=1.0, n=n)
     with pytest.raises(ValueError):
         FamilySpec("mix", alpha=1.0, beta=1.0)
     with pytest.raises(ValueError):

@@ -51,14 +51,14 @@ def test_grid_endpoints_exact():
 
 def test_grid_arrays_are_shared_and_read_only():
     g = make_grid(65, 10.0)
-    for get in (lambda: g.nodes, g.trap_weights):
+    for get in (lambda: g.nodes, lambda: g.trap_weights):
         first = get()
         assert get() is first
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[1] = 0.0
     assert np.array_equal(g.nodes, np.linspace(0.0, 10.0, 65))
-    assert np.array_equal(g.trap_weights(), np.r_[0.5, np.ones(63), 0.5] * g.spacing)
+    assert np.array_equal(g.trap_weights, np.r_[0.5, np.ones(63), 0.5] * g.spacing)
     # built arrays do not enter equality or hashing
     assert g == make_grid(65, 10.0) and hash(g) == hash(make_grid(65, 10.0))
 
