@@ -36,7 +36,7 @@ from .evolution import (
     matched_exponential,
     characteristic_function,
     fixed_point_ode_residual,
-    derivative_at_zero,
+    derivatives_at_zero,
     write_reports_csv,
 )
 from .families import (
@@ -89,7 +89,7 @@ __all__ = [
     "matched_exponential",
     "characteristic_function",
     "fixed_point_ode_residual",
-    "derivative_at_zero",
+    "derivatives_at_zero",
     "write_reports_csv",
     "FamilyKind",
     "FamilySpec",

@@ -109,7 +109,6 @@ class AgentEnsemble:
     money: np.ndarray
     rng_seed: int
     transactions_done: int = 0
-    total: float = 0.0
     _rng: np.random.Generator = field(repr=False, default=None)
     initial_total: float = field(init=False)
 
@@ -117,11 +116,15 @@ class AgentEnsemble:
         self.money = np.ascontiguousarray(self.money, dtype=np.float64)
         if self._rng is None:
             self._rng = np.random.default_rng(np.random.PCG64(self.rng_seed))
-        self.total = self.initial_total = float(self.money.sum())
+        self.initial_total = self.total
 
     @property
     def n_agents(self) -> int:
         return int(self.money.shape[0])
+
+    @property
+    def total(self) -> float:
+        return float(self.money.sum())
 
     @property
     def mean_money(self) -> float:
@@ -156,6 +159,8 @@ def init_ensemble(
             raise ValueError(f"equal initial money must be positive and finite, got {equal}")
         if not math.isfinite(n_agents * equal):
             raise ValueError(f"total money {n_agents} * {equal} overflows")
+        if not math.isfinite(1.0 / equal):
+            raise ValueError(f"equal initial money {equal} is too small: its reciprocal overflows")
         money = np.full(n_agents, float(equal))
     else:
         norm = quad_norm(from_density)
@@ -176,7 +181,6 @@ def run_transactions(ens: AgentEnsemble, count: int) -> AgentEnsemble:
         raise ValueError(f"count must be positive, got {count}")
     n = ens.n_agents
     rng = ens._rng
-    money = ens.money
     done = 0
     while done < count:
         c = min(_CHUNK, count - done)
@@ -188,10 +192,9 @@ def run_transactions(ens: AgentEnsemble, count: int) -> AgentEnsemble:
         while zero.any():  # eps is drawn on the open interval (0, 1)
             eps[zero] = rng.random(size=int(zero.sum()))
             zero = eps == 0.0
-        _exchange_waves(money, ii, jj, eps)
+        _exchange_waves(ens.money, ii, jj, eps)
         done += c
     ens.transactions_done += count
-    ens.total = float(money.sum())
     return ens
 
 
@@ -203,11 +206,13 @@ class HistogramEstimate:
 
 
 def check_histogram_args(n_bins: int, m_max: float | None) -> None:
-    """Raise ValueError unless n_bins >= 2 and m_max, when given, is positive and finite."""
+    """Raise ValueError unless n_bins >= 2 and m_max (if given) and n_bins / m_max are positive and finite."""
     if n_bins < 2:
         raise ValueError(f"need at least 2 bins, got {n_bins}")
     if m_max is not None and not 0.0 < m_max < math.inf:
         raise ValueError(f"m_max must be positive and finite, got {m_max}")
+    if m_max is not None and not math.isfinite(n_bins / m_max):
+        raise ValueError(f"m_max {m_max} is too small for {n_bins} bins: the bin densities overflow")
 
 
 def histogram(ens: AgentEnsemble, n_bins: int, m_max: float) -> HistogramEstimate:

@@ -253,45 +253,39 @@ def characteristic_function(y: Density, p_values) -> np.ndarray:
     return phases @ wv
 
 
-def fixed_point_ode_residual(y: Density, p_values, step: float = 1e-3) -> np.ndarray:
-    """|ybar + p ybar' - ybar^2| with ybar' by central differences.
+def fixed_point_ode_residual(y: Density, p_values) -> np.ndarray:
+    """|ybar + p ybar' - ybar^2|, with ybar' = i * (transform of x y) by the same quadrature.
 
     Near-zero exactly when y is a fixed point of the redistribution operator
-    (the transform of a fixed point solves ybar + p ybar' = ybar^2).
+    (the transform of a fixed point solves ybar + p ybar' = ybar^2).  At
+    p = 0 it reads |norm(y) - norm(y)^2|.
     """
     p = np.atleast_1d(np.asarray(p_values, dtype=np.float64))
-    if np.any(p == 0.0):
-        raise ValueError("p values must exclude 0")
-    if not step > 0.0:
-        raise ValueError(f"central-difference step must be positive, got {step}")
-    lo = characteristic_function(y, p - step)
-    mid = characteristic_function(y, p)
-    hi = characteristic_function(y, p + step)
-    deriv = (hi - lo) / (2.0 * step)
-    return np.abs(mid + p * deriv - mid**2)
+    phi = characteristic_function(y, p)
+    dphi = 1j * characteristic_function(Density(y.grid, y.grid.nodes * y.values), p)
+    return np.abs(phi + p * dphi - phi**2)
 
 
 _EXTRAP_NODES = (4, 8, 16)
 
 
-def derivative_at_zero(y: Density, order: int) -> float:
-    """m-th derivative at x = 0 from interior central differences.
+def derivatives_at_zero(y: Density) -> tuple[float, float, float, float]:
+    """y(0), y'(0), y''(0) and y'''(0) from one chain of central differences.
 
-    Central-difference fields are evaluated at nodes 4, 8, 16 and
+    Each field of the chain is evaluated at nodes 4, 8, 16 and
     quadratically extrapolated to 0; stencils touching the first node are
     avoided because the boundary node of an operator image carries a local
     quadrature artifact that m-th differences amplify by 1/h^m.
     """
-    if order < 0 or order > 3:
-        raise ValueError(f"order must be in 0..3, got {order}")
     if y.grid.n_points <= 2 * _EXTRAP_NODES[-1]:
         raise ValueError("grid too coarse for derivative extrapolation")
-    d = np.asarray(y.values, dtype=np.float64)
-    h = y.grid.spacing
-    for _ in range(order):
-        d = np.gradient(d, h, edge_order=2)
     j0, j1, j2 = _EXTRAP_NODES
     c0 = (0 - j1) * (0 - j2) / ((j0 - j1) * (j0 - j2))
     c1 = (0 - j0) * (0 - j2) / ((j1 - j0) * (j1 - j2))
     c2 = (0 - j0) * (0 - j1) / ((j2 - j0) * (j2 - j1))
-    return float(c0 * d[j0] + c1 * d[j1] + c2 * d[j2])
+    d = y.values
+    out = [float(c0 * d[j0] + c1 * d[j1] + c2 * d[j2])]
+    for _ in range(3):
+        d = np.gradient(d, y.grid.spacing, edge_order=2)
+        out.append(float(c0 * d[j0] + c1 * d[j1] + c2 * d[j2]))
+    return tuple(out)

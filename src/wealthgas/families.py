@@ -64,8 +64,8 @@ class FamilySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", FamilyKind(self.kind))
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.kind in (FamilyKind.GAMMA, FamilyKind.EPSILON_MIX):
             if self.n is None or not self.n >= 0 or not float(self.n).is_integer():
                 raise ValueError(f"n must be a nonnegative integer, got {self.n}")
@@ -76,8 +76,8 @@ class FamilySpec:
         else:
             object.__setattr__(self, "n", None)
         if self.kind is FamilyKind.TWO_EXP_MIX:
-            if self.beta is None or not self.beta > 0.0:
-                raise ValueError(f"beta must be positive, got {self.beta}")
+            if self.beta is None or not 0.0 < self.beta < math.inf:
+                raise ValueError(f"beta must be positive and finite, got {self.beta}")
             if self.beta == self.alpha:
                 raise ValueError("mix requires alpha != beta (closed form divides by alpha-beta)")
         else:

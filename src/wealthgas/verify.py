@@ -34,7 +34,7 @@ import numpy as np
 from .evolution import (
     apply_operator,
     autoconvolve,
-    derivative_at_zero,
+    derivatives_at_zero,
     fixed_point_ode_residual,
     matched_exponential,
 )
@@ -185,11 +185,11 @@ def check_derivatives(grid: Grid, rng: np.random.Generator) -> list[PropertyChec
 
     worst_rec = 0.0
     for current, previous in ((t3, t2), (apply_operator(expo), expo)):
-        prev_d = [((-1.0) ** k) * derivative_at_zero(previous, k) for k in range(3)]
+        cur_d = [((-1.0) ** m) * d for m, d in enumerate(derivatives_at_zero(current))]
+        prev_d = [((-1.0) ** k) * d for k, d in enumerate(derivatives_at_zero(previous))]
         for m in (1, 2, 3):
-            lhs = ((-1.0) ** m) * derivative_at_zero(current, m)
             rhs = sum(prev_d[k] * prev_d[m - 1 - k] for k in range(m)) / m
-            worst_rec = max(worst_rec, abs(lhs - rhs) / abs(rhs))
+            worst_rec = max(worst_rec, abs(cur_d[m] - rhs) / abs(rhs))
     return [
         _check("complete_monotonicity", worst_sign, -1e-6, ">=", detail="min signed FD derivative, m<=3"),
         _check("derivative_zero_recurrence", worst_rec, 1e-3, detail="max relative error, m<=3"),

@@ -77,11 +77,21 @@ def test_init_from_density_sample_mean():
     assert abs(ens.mean_money - 1.0) < 3.0 / math.sqrt(100_000)
 
 
-@pytest.mark.parametrize("equal", [math.inf, math.nan, 1e308])
+@pytest.mark.parametrize("equal", [math.inf, math.nan, 1e308, 1e-310, 1e-320])
 def test_init_rejects_non_finite_money(equal):
-    # 10 * 1e308 overflows the total
+    # 10 * 1e308 overflows the total; 1/1e-310 overflows the fitted rate
     with pytest.raises(ValueError):
         init_ensemble(10, equal=equal, seed=0)
+
+
+def test_total_is_the_sum_of_the_money():
+    with pytest.raises(TypeError):
+        AgentEnsemble(money=np.ones(3), rng_seed=0, total=99.0)
+    ens = AgentEnsemble(money=np.ones(3), rng_seed=0)
+    assert ens.total == ens.initial_total == 3.0
+    ens.money[0] = 5.0
+    assert ens.total == 7.0
+    assert ens.initial_total == 3.0
 
 
 def test_init_from_zero_density_rejected():
@@ -262,8 +272,9 @@ def test_histogram_point_mass():
     assert np.count_nonzero(hist.densities) == 1
 
 
-@pytest.mark.parametrize("m_max", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("m_max", [math.inf, math.nan, 0.0, 1e-308])
 def test_histogram_rejects_bad_cut(m_max):
+    # 10 bins on [0, 1e-308]: a full bin's density 1e309 overflows
     with pytest.raises(ValueError):
         histogram(init_ensemble(10, equal=1.0, seed=0), 10, m_max)
 

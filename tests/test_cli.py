@@ -4,9 +4,10 @@ import csv
 import json
 import warnings
 
+import numpy as np
 import pytest
 
-from wealthgas import cli
+from wealthgas import Density, cli, make_grid, write_density_csv
 from wealthgas.cli import main
 
 
@@ -116,6 +117,29 @@ def test_iterate_reproducible_byte_identical(tmp_path):
     assert read_tree(a) == read_tree(b)
 
 
+@pytest.mark.parametrize(
+    "option", [["--family", "exponential", "--alpha", "inf"], ["--family", "mix", "--beta", "inf"]]
+)
+def test_iterate_rejects_an_infinite_rate(tmp_path, capsys, option):
+    # named in the message, with no numpy warning on the way (the suite makes warnings errors)
+    out = tmp_path / "out"
+    assert run_cli(["iterate", *option, "--out", out]) == 2
+    assert f"{option[2][2:]} must be positive and finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_iterate_initial_with_one_positive_tail_sample(tmp_path, capsys):
+    # one positive sample in the last tenth of the domain, at x_max: the tail
+    # fit has too few points and the defect estimate is y(x_max) * x_max
+    g = make_grid(401, 40.0)
+    values = np.where(g.nodes < 35.0, np.exp(-g.nodes), 0.0)
+    values[-1] = 1e-3
+    initial = tmp_path / "ic.csv"
+    write_density_csv(initial, Density(g, values))
+    assert run_cli(["iterate", "--initial", initial, "--out", tmp_path / "out"]) == 2
+    assert "initial mass defect 4.000e-02 > 1e-06" in capsys.readouterr().err
+
+
 def test_iterate_from_density_file(tmp_path):
     src = tmp_path / "ic"
     assert run_cli(["iterate", "--family", "triangle", "--steps", "1",
@@ -161,17 +185,24 @@ def test_simulate_rejects_single_agent(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "extra", [["--m0", "inf"], ["--m0", "1e308"], ["--m0", "nan"], ["--m-max", "inf"]]
+    "extra",
+    [["--m0", "inf"], ["--m0", "1e308"], ["--m0", "nan"], ["--m-max", "inf"],
+     ["--m0", "1e-310"], ["--m0", "1e-320"], ["--m0", "1e-307"]],
 )
 def test_simulate_rejects_non_finite_money(tmp_path, extra):
-    # --m0 1e308 overflows the total money of 10 agents
+    # --m0 1e308 overflows the total money of 10 agents; 1/1e-310 and 1/1e-320
+    # overflow the fitted rate, and at --m0 1e-307 the default cut 10 * mean
+    # gives 200 bins whose density overflows.  None of them may emit a numpy
+    # warning, which the suite turns into an error.
     out = tmp_path / "out"
     rc = run_cli(["simulate", "--agents", "10", "--transactions", "10", "--out", out] + extra)
     assert rc == 2
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", [["--bins", "1"], ["--m-max", "inf"], ["--m-max", "0"]])
+@pytest.mark.parametrize(
+    "extra", [["--bins", "1"], ["--m-max", "inf"], ["--m-max", "0"], ["--m-max", "1e-307"]]
+)
 def test_simulate_rejects_histogram_options_before_running(tmp_path, monkeypatch, extra):
     def fail(*args, **kwargs):
         raise AssertionError("the Monte Carlo ran before the options were checked")

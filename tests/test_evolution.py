@@ -21,7 +21,7 @@ from wealthgas import (
     autoconvolve,
     characteristic_function,
     closed_form_step,
-    derivative_at_zero,
+    derivatives_at_zero,
     fixed_point_ode_residual,
     iterate_operator,
     l1_distance,
@@ -462,36 +462,30 @@ def test_ode_residual_triangle_large():
     assert res[0] > 1e-2
 
 
-def test_ode_residual_rejects_zero_p():
-    y = matched_exponential(GRID, 1.0)
-    with pytest.raises(ValueError):
-        fixed_point_ode_residual(y, [0.0, 1.0])
-
-
-def test_ode_residual_rejects_a_nonpositive_step():
-    with pytest.raises(ValueError, match="central-difference step must be positive, got 0.0"):
-        fixed_point_ode_residual(expo(GRID), [1.0], step=0.0)
-
-
-def test_ode_residual_central_difference_order():
-    # with steps large enough that finite-difference truncation dominates the
-    # quadrature floor, halving the step divides the residual by ~4
-    y = matched_exponential(GRID, 1.0)
-    r_big = fixed_point_ode_residual(y, [1.0], step=0.1)[0]
-    r_small = fixed_point_ode_residual(y, [1.0], step=0.05)[0]
-    order = math.log2(r_big / r_small)
-    assert 1.7 <= order <= 2.3
+def test_ode_residual_derivative_by_quadrature():
+    # ybar' = i * (transform of x y): on the sampled e^-x it meets the analytic
+    # i/(1 - ip)^2 to second order in the spacing, and at p = 0 the residual
+    # reads |norm - norm^2|
+    p = np.array([0.5, 1.0, 2.0])
+    errors = []
+    for n in (4097, 16385):
+        g = make_grid(n, 40.0)
+        y = Density(g, np.exp(-g.nodes))
+        dphi = 1j * characteristic_function(Density(g, g.nodes * y.values), p)
+        errors.append(float(np.max(np.abs(dphi - 1j / (1.0 - 1j * p) ** 2))))
+        norm = quad_norm(y)
+        assert fixed_point_ode_residual(y, [0.0])[0] == pytest.approx(abs(norm - norm**2), abs=1e-15)
+    assert errors[0] <= 1e-5
+    assert 14.0 <= errors[0] / errors[1] <= 18.0
 
 
 def test_derivative_at_zero_exponential():
     y = matched_exponential(GRID, 1.0)
-    for m in range(4):
-        # y ~ e^-x so the m-th derivative at 0 is (-1)^m
-        assert derivative_at_zero(y, m) == pytest.approx((-1.0) ** m, rel=5e-4)
+    # y ~ e^-x so the m-th derivative at 0 is (-1)^m
+    for m, d in enumerate(derivatives_at_zero(y)):
+        assert d == pytest.approx((-1.0) ** m, rel=5e-4)
 
 
-def test_derivative_at_zero_rejects_bad_order_and_coarse_grid():
-    with pytest.raises(ValueError, match=r"order must be in 0\.\.3, got 4"):
-        derivative_at_zero(expo(GRID), 4)
+def test_derivative_at_zero_rejects_a_coarse_grid():
     with pytest.raises(ValueError, match="grid too coarse for derivative extrapolation"):
-        derivative_at_zero(expo(make_grid(32, 10.0)), 0)
+        derivatives_at_zero(expo(make_grid(32, 10.0)))

@@ -85,6 +85,11 @@ def test_spec_validation():
         FamilySpec("mix", alpha=1.0, beta=-2.0)
     with pytest.raises(ValueError):
         FamilySpec("epsmix", alpha=1.0, n=1, eps=1.5)
+    for rate in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            FamilySpec("exponential", alpha=rate)
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            FamilySpec("mix", alpha=1.0, beta=rate)
 
 
 def test_order_cap_matches_closed_form_step():
