@@ -269,23 +269,31 @@ def fixed_point_ode_residual(y: Density, p_values) -> np.ndarray:
 _EXTRAP_NODES = (4, 8, 16)
 
 
-def derivatives_at_zero(y: Density) -> tuple[float, float, float, float]:
-    """y(0), y'(0), y''(0) and y'''(0) from one chain of central differences.
+def derivative_chain(y: Density) -> list[np.ndarray]:
+    """y and its first three derivatives, each the central differences of the one before."""
+    chain = [y.values]
+    for _ in range(3):
+        chain.append(np.gradient(chain[-1], y.grid.spacing, edge_order=2))
+    return chain
 
-    Each field of the chain is evaluated at nodes 4, 8, 16 and
-    quadratically extrapolated to 0; stencils touching the first node are
-    avoided because the boundary node of an operator image carries a local
-    quadrature artifact that m-th differences amplify by 1/h^m.
+
+def extrapolated_to_zero(chain: list[np.ndarray]) -> tuple[float, ...]:
+    """Each field of a ``derivative_chain`` at x = 0.
+
+    Each field is evaluated at nodes 4, 8, 16 and quadratically
+    extrapolated to 0; stencils touching the first node are avoided because
+    the boundary node of an operator image carries a local quadrature
+    artifact that m-th differences amplify by 1/h^m.
     """
-    if y.grid.n_points <= 2 * _EXTRAP_NODES[-1]:
+    if len(chain[0]) <= 2 * _EXTRAP_NODES[-1]:
         raise ValueError("grid too coarse for derivative extrapolation")
     j0, j1, j2 = _EXTRAP_NODES
     c0 = (0 - j1) * (0 - j2) / ((j0 - j1) * (j0 - j2))
     c1 = (0 - j0) * (0 - j2) / ((j1 - j0) * (j1 - j2))
     c2 = (0 - j0) * (0 - j1) / ((j2 - j0) * (j2 - j1))
-    d = y.values
-    out = [float(c0 * d[j0] + c1 * d[j1] + c2 * d[j2])]
-    for _ in range(3):
-        d = np.gradient(d, y.grid.spacing, edge_order=2)
-        out.append(float(c0 * d[j0] + c1 * d[j1] + c2 * d[j2]))
-    return tuple(out)
+    return tuple(float(c0 * d[j0] + c1 * d[j1] + c2 * d[j2]) for d in chain)
+
+
+def derivatives_at_zero(y: Density) -> tuple[float, float, float, float]:
+    """y(0), y'(0), y''(0) and y'''(0) from one chain of central differences."""
+    return extrapolated_to_zero(derivative_chain(y))

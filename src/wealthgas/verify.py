@@ -1,7 +1,12 @@
 """Executable property suite for the redistribution operator.
 
 Each check measures one provable property of the operator on concrete
-inputs and compares against a fixed threshold:
+inputs and compares against a fixed threshold.  Each bound is stated here
+only: the tests call these checks rather than restate them.  The bounds of
+the exact laws (mass squaring, mean conservation, the fixed point) sit at
+least 100x above the worst value measured over seeds 0-31, grids of 64 to
+16385 nodes and x_max 40 and 80; the Lipschitz bound is the constant 2
+plus 5e-9 of slack, and the worst ratio measured there is 1.25:
 
 * mass squaring:         quad_norm(Ty) = quad_norm(y)^2
 * mean conservation:     quad_mean(Ty) = quad_mean(y) for unit-mass y
@@ -25,7 +30,6 @@ their own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
@@ -34,7 +38,8 @@ import numpy as np
 from .evolution import (
     apply_operator,
     autoconvolve,
-    derivatives_at_zero,
+    derivative_chain,
+    extrapolated_to_zero,
     fixed_point_ode_residual,
     matched_exponential,
 )
@@ -101,8 +106,8 @@ def check_mass_laws(grid: Grid, rng: np.random.Generator) -> list[PropertyCheck]
         tp = apply_operator(p)
         worst_mean = max(worst_mean, abs(quad_mean(tp) - quad_mean(p)) / quad_mean(p))
     return [
-        _check("norm_squaring", worst_norm, 1e-7, detail="max |norm(Ty) - norm(y)^2|"),
-        _check("mean_conservation", worst_mean, 1e-5, detail="max relative mean drift, unit-mass inputs"),
+        _check("norm_squaring", worst_norm, 1e-10, detail="max |norm(Ty) - norm(y)^2|"),
+        _check("mean_conservation", worst_mean, 1e-10, detail="max relative mean drift, unit-mass inputs"),
     ]
 
 
@@ -122,7 +127,7 @@ def check_lipschitz(grid: Grid, rng: np.random.Generator) -> list[PropertyCheck]
             ratios.append(l1_distance(apply_operator(y), apply_operator(w)) / d)
     worst = max(ratios)
     return [
-        _check("lipschitz_bound", worst, 2.0 + 1e-6, detail="max ||Ty-Tw||/||y-w||"),
+        _check("lipschitz_bound", worst, 2.0 + 5e-9, detail="max ||Ty-Tw||/||y-w||"),
         _check("lipschitz_nonvacuity", worst, 1.0, ">=", detail="largest ratio reaches the unit sphere"),
     ]
 
@@ -134,7 +139,7 @@ def check_fixed_points(grid: Grid, rng: np.random.Generator) -> list[PropertyChe
         g = make_grid(grid.n_points, 40.0 / a)
         y = sample_family(FamilySpec(FamilyKind.EXPONENTIAL, alpha=a), g)
         worst_fp = max(worst_fp, l1_distance(apply_operator(y), y))
-    return [_check("fixed_point", worst_fp, 1e-6, detail="max L1 self-distance of sampled exponentials")]
+    return [_check("fixed_point", worst_fp, 1e-9, detail="max L1 self-distance of sampled exponentials")]
 
 
 def check_ode_residual(grid: Grid, rng: np.random.Generator) -> list[PropertyCheck]:
@@ -175,18 +180,14 @@ def check_derivatives(grid: Grid, rng: np.random.Generator) -> list[PropertyChec
     expo = matched_exponential(grid, 1.0)
     t2 = apply_operator(apply_operator(triangle_density(grid, mean=1.0)))
     t3 = apply_operator(t2)
-    worst_sign = math.inf
-    for target in (expo, t3):
-        d = np.asarray(target.values, dtype=np.float64)
-        for m in (1, 2, 3):
-            d = np.gradient(d, grid.spacing, edge_order=2)
-            interior = d[m + 2 : -(m + 2)]
-            worst_sign = min(worst_sign, float(np.min(((-1.0) ** m) * interior)))
+    c_expo, c_texpo, c_t2, c_t3 = (derivative_chain(y) for y in (expo, apply_operator(expo), t2, t3))
+    worst_sign = min(float(np.min(((-1.0) ** m) * chain[m][m + 2 : -(m + 2)]))
+                     for chain in (c_expo, c_t3) for m in (1, 2, 3))
 
     worst_rec = 0.0
-    for current, previous in ((t3, t2), (apply_operator(expo), expo)):
-        cur_d = [((-1.0) ** m) * d for m, d in enumerate(derivatives_at_zero(current))]
-        prev_d = [((-1.0) ** k) * d for k, d in enumerate(derivatives_at_zero(previous))]
+    for current, previous in ((c_t3, c_t2), (c_texpo, c_expo)):
+        cur_d = [((-1.0) ** m) * d for m, d in enumerate(extrapolated_to_zero(current))]
+        prev_d = [((-1.0) ** k) * d for k, d in enumerate(extrapolated_to_zero(previous))]
         for m in (1, 2, 3):
             rhs = sum(prev_d[k] * prev_d[m - 1 - k] for k in range(m)) / m
             worst_rec = max(worst_rec, abs(cur_d[m] - rhs) / abs(rhs))

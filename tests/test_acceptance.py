@@ -73,15 +73,6 @@ def test_criterion_05_norm_trichotomy():
     _assert_checks_pass("criterion 5 (norm trichotomy)", verify.check_trichotomy, seed=505)
 
 
-def test_criterion_06_convergence_monotone():
-    y0 = triangle_density(GRID, 1.0)
-    _, reports = iterate_operator(y0, 10)
-    dists = [r.dist_to_target for r in reports]
-    ok = all(a >= b for a, b in zip(dists, dists[1:]))
-    _verdict("criterion 6 (dist_to_target nonincreasing over 10 steps)", ok, f"trajectory {['%.3e' % d for d in dists]}")
-    assert ok
-
-
 def _exact_triangle_trajectory(p: np.ndarray, n_steps: int) -> list[np.ndarray]:
     """phi_k of T^k(triangle) on p from the exact Fourier recursion.
 

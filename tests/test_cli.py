@@ -201,7 +201,8 @@ def test_simulate_rejects_non_finite_money(tmp_path, extra):
 
 
 @pytest.mark.parametrize(
-    "extra", [["--bins", "1"], ["--m-max", "inf"], ["--m-max", "0"], ["--m-max", "1e-307"]]
+    "extra",
+    [["--bins", "1"], ["--m-max", "inf"], ["--m-max", "0"], ["--m-max", "1e-307"], ["--m0", "1e-307"]],
 )
 def test_simulate_rejects_histogram_options_before_running(tmp_path, monkeypatch, extra):
     def fail(*args, **kwargs):
