@@ -22,7 +22,6 @@ from .grid import (
     quad_norm,
     quad_mean,
     l1_distance,
-    tail_mass_estimate,
     read_density_csv,
     write_density_csv,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "quad_norm",
     "quad_mean",
     "l1_distance",
-    "tail_mass_estimate",
     "read_density_csv",
     "write_density_csv",
     "IterationReport",

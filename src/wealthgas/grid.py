@@ -7,8 +7,9 @@ and integrals are composite trapezoid sums
 
 The same weights are reused by the convolution kernel in ``evolution`` so
 that the discrete conservation laws hold to machine precision.  The infinite
-domain [0, inf) is truncated at x_max; the estimated mass beyond x_max is
-reported as ``mass_defect`` and never folded back into the density.
+domain [0, inf) is truncated at x_max; the mass each operator step pushes
+past x_max follows exactly from those laws, is reported as ``mass_defect``
+and is never folded back into the density.
 
 This module also owns the on-disk format of every output file (``write_csv``
 and ``write_json``).
@@ -157,32 +158,6 @@ def l1_distance(y: Density, w: Density) -> float:
     """Trapezoid approximation of the L1 distance between two densities."""
     _require_same_grid(y, w)
     return float(y.grid.trap_weights @ np.abs(y.values - w.values))
-
-
-def tail_mass_estimate(y: Density) -> float:
-    """Estimate the probability mass lost beyond x_max.
-
-    Fits an exponential to the last tenth of the domain (log-linear least
-    squares over the positive samples there) and integrates it analytically
-    past the truncation point.  The fit runs in x / x_max, so no power of x
-    is formed and the estimate holds at any domain scale.  Compactly
-    supported or zero tails give 0.
-    """
-    last = float(y.values[-1])
-    if last <= 0.0:
-        return 0.0
-    x = y.grid.nodes
-    window = x >= 0.9 * y.grid.x_max
-    xs = x[window]
-    vs = y.values[window]
-    pos = vs > 0.0
-    if pos.sum() < 2:
-        return last * y.grid.x_max
-    slope = np.polyfit(xs[pos] / y.grid.x_max, np.log(vs[pos]), 1)[0] / y.grid.x_max
-    rate = -slope
-    if rate <= 0.0:
-        return last * y.grid.x_max
-    return last / rate
 
 
 def write_csv(path, header, columns) -> None:

@@ -51,7 +51,7 @@ def read_rows(path):
 
 
 def test_iterate_is_scale_free_in_the_mean(tmp_path):
-    # the triangle, the operator step and the tail fit form no power of x,
+    # the triangle, the operator step and its mass defect form no power of x,
     # so a run at mean 1e+-200 reports what the mean-1 run does
     reports = {}
     for mean in ("1", "1e200", "1e-200"):
@@ -129,15 +129,13 @@ def test_iterate_rejects_an_infinite_rate(tmp_path, capsys, option):
 
 
 def test_iterate_initial_with_one_positive_tail_sample(tmp_path, capsys):
-    # one positive sample in the last tenth of the domain, at x_max: the tail
-    # fit has too few points and the defect estimate is y(x_max) * x_max
     g = make_grid(401, 40.0)
     values = np.where(g.nodes < 35.0, np.exp(-g.nodes), 0.0)
     values[-1] = 1e-3
     initial = tmp_path / "ic.csv"
     write_density_csv(initial, Density(g, values))
     assert run_cli(["iterate", "--initial", initial, "--out", tmp_path / "out"]) == 2
-    assert "initial mass defect 4.000e-02 > 1e-06" in capsys.readouterr().err
+    assert "initial density at x_max is 1.000e-03 > 1e-08 * max" in capsys.readouterr().err
 
 
 def test_iterate_from_density_file(tmp_path):

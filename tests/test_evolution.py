@@ -30,7 +30,6 @@ from wealthgas import (
     quad_mean,
     quad_norm,
     sample_family,
-    tail_mass_estimate,
     triangle_density,
     write_reports_csv,
 )
@@ -302,7 +301,7 @@ def test_iterate_rejects_zero_start():
 
 
 def test_iterate_signals_mass_defect():
-    # mean-8 exponential on a domain of 5 means: the tail estimate blows the budget
+    # mean-8 exponential on a domain of 5 means: the start fails the tail rule
     g = make_grid(1025, 40.0)
     y0 = expo(g, alpha=0.125)
     with pytest.raises(MassDefectError):
@@ -310,14 +309,44 @@ def test_iterate_signals_mass_defect():
 
 
 def test_iterate_signals_mass_defect_at_a_step():
-    # the start's tail is clean, but the box at [25, 30] pushes T(y) to x_max
+    # the box at [25, 30] pushes 2.7e-7 of T(y)'s mass past x_max, under the budget
     g = make_grid(4097, 40.0)
     x = g.nodes
     w = 1e-3
     y0 = normalized(Density(g, (1 - w) * 2 * np.exp(-2 * x) + w * ((x >= 25) & (x <= 30)) / 5))
-    assert tail_mass_estimate(y0) <= 1e-6
-    with pytest.raises(MassDefectError, match=r"mass defect 7\.08\de-05 > 1e-06 at step 1;"):
+    _, reports = iterate_operator(y0, 3)
+    assert len(reports) == 3
+    assert reports[0].mass_defect == pytest.approx(2.7276e-7, rel=1e-4)
+    # a box at [600, 700] on [0, 1000] passes the tail rule but loses 3.7e-6 at once
+    g = make_grid(65537, 1000.0)
+    x = g.nodes
+    w = 4e-3
+    y0 = normalized(Density(g, (1 - w) * 2 * np.exp(-2 * x) + w * ((x >= 600) & (x <= 700)) / 100))
+    with pytest.raises(MassDefectError, match=r"mass defect 3\.680e-06 > 1e-06 at step 1;"):
         iterate_operator(y0, 3)
+
+
+def test_iterate_reports_the_exact_mass_defect():
+    # the doubled-domain image built independently: direct-sum convolution,
+    # h*g steps and right-to-left trapezoid sums; its mass on (x_max, 2 x_max]
+    # is what the step pushed past x_max
+    g = make_grid(4097, 25.0)
+    y = sample_family(FamilySpec("gamma", alpha=1.0, n=1), g)
+    h = g.spacing
+    a = g.trap_weights * y.values
+    conv = np.convolve(a, a)
+    hg = np.empty_like(conv)
+    hg[0] = h * y.values[0] ** 2
+    hg[1:] = conv[1:] / (h * np.arange(1.0, len(conv)))
+    image = np.append(np.cumsum((0.5 * (hg[:-1] + hg[1:]))[::-1])[::-1], 0.0)
+
+    def trapezoid(v):
+        return h * (v.sum() - 0.5 * (v[0] + v[-1]))
+
+    pushed = trapezoid(image) - trapezoid(image[: g.n_points])
+    _, reports = iterate_operator(y, 1)
+    assert pushed > 1e-9
+    assert reports[0].mass_defect == pytest.approx(pushed, rel=0.0, abs=1e-15)
 
 
 def test_iterate_rejects_a_nonpositive_step_count():

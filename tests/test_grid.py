@@ -15,7 +15,6 @@ from wealthgas import (
     quad_mean,
     quad_norm,
     read_density_csv,
-    tail_mass_estimate,
     write_density_csv,
 )
 from wealthgas.grid import normalized
@@ -233,21 +232,6 @@ def test_quadrature_convergence_order_is_two():
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for order in orders:
             assert 1.8 <= order <= 2.2
-
-
-def test_tail_mass_estimate_exponential():
-    g = make_grid(4097, 40.0)
-    y = sampled(g, lambda x: np.exp(-x))
-    exact = math.exp(-40.0)
-    est = tail_mass_estimate(y)
-    assert exact / 2 <= est <= exact * 2
-
-
-def test_tail_mass_estimate_compact_support_and_zero():
-    g = make_grid(4097, 40.0)
-    tri = sampled(g, lambda x: np.maximum(0.0, 1.0 - np.abs(x - 1.0)))
-    assert tail_mass_estimate(tri) == 0.0
-    assert tail_mass_estimate(Density(g, np.zeros(4097))) == 0.0
 
 
 def test_density_csv_round_trip_bit_exact(tmp_path):
