@@ -44,7 +44,7 @@ from .grid import (
     make_grid,
     read_density_csv,
     write_csv,
-    write_density_csv,
+    write_density_csvs,
     write_json,
 )
 from .verify import VerifySettings, format_checks, report_as_dict, run_property_suite
@@ -67,6 +67,8 @@ def _family_record(spec: FamilySpec) -> dict:
 def _resolve_initial(args):
     """Initial density plus the resolved option record for the manifest."""
     if args.initial is not None:
+        if args.n_points is not None or args.x_max is not None:
+            raise ValueError("--n-points and --x-max do not apply with --initial: the grid is the file's")
         y0 = read_density_csv(args.initial)
         return y0, {
             "initial": str(args.initial),
@@ -81,7 +83,7 @@ def _resolve_initial(args):
         mean = family_mean(spec)
         record = _family_record(spec)
     x_max = args.x_max if args.x_max is not None else DOMAIN_MEAN_MULTIPLE * mean
-    grid = make_grid(args.n_points, x_max)
+    grid = make_grid(DEFAULT_N_POINTS if args.n_points is None else args.n_points, x_max)
     record.update({"n_points": grid.n_points, "x_max": grid.x_max})
     y0 = triangle_density(grid, mean) if spec is None else sample_family(spec, grid)
     return y0, record
@@ -92,8 +94,7 @@ def cmd_iterate(args) -> tuple[int, dict]:
     y0, record = _resolve_initial(args)
     densities, reports = iterate_operator(y0, args.steps, early_stop_delta=args.stop_delta)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for k, d in enumerate(densities):
-        write_density_csv(out_dir / f"density_step_{k:03d}.csv", d)
+    write_density_csvs([out_dir / f"density_step_{k:03d}.csv" for k in range(len(densities))], densities)
     write_reports_csv(out_dir / "report.csv", reports)
     record.update({"steps": args.steps, "stop_delta": args.stop_delta})
     return 0, record
@@ -192,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_options(p_it)
     p_it.add_argument("--mean", type=float, default=1.0, help="triangle mean")
     p_it.add_argument("--steps", type=int, default=10)
-    p_it.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
+    p_it.add_argument("--n-points", type=int, default=None, help=f"grid nodes (default {DEFAULT_N_POINTS})")
     p_it.add_argument("--x-max", type=float, default=None, help="domain cut (default 40 * mean)")
     p_it.add_argument("--stop-delta", type=float, default=None, help="early stop when step_delta drops below")
     p_it.add_argument("--out", type=Path, default=Path("."))

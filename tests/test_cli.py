@@ -149,6 +149,20 @@ def test_iterate_from_density_file(tmp_path):
     assert (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("option", [["--n-points", "8193"], ["--x-max", "7"]])
+def test_iterate_initial_rejects_grid_options(tmp_path, capsys, option):
+    # the grid of --initial is the file's; a grid option beside it would be silently ignored
+    g = make_grid(257, 40.0)
+    initial = tmp_path / "ic.csv"
+    write_density_csv(initial, Density(g, np.exp(-g.nodes)))
+    out = tmp_path / "out"
+    assert run_cli(["iterate", "--initial", initial, *option, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: --n-points and --x-max do not apply with --initial: the grid is the file's\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text",
     ["", "x,density\n", "x,density\n0.0,1.0\n1.0\n", "x,density\n0.0,1.0\n1.0,abc\n"],

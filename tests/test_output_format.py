@@ -6,7 +6,11 @@ keys and a trailing newline.  The other tests compare a run with itself;
 these pin the bytes against literals.
 """
 
+import errno
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from wealthgas.grid import (
     read_density_csv,
     write_csv,
     write_density_csv,
+    write_density_csvs,
 )
 from wealthgas.verify import PropertyCheck
 
@@ -112,6 +117,104 @@ def test_density_csv_bytes(tmp_path):
         b"8,2.6666666666666665\r\n9,3\r\n10,3.3333333333333335\r\n11,3.6666666666666665\r\n"
         b"12,4\r\n13,4.333333333333333\r\n14,4.666666666666667\r\n15,5\r\n"
     )
+
+
+def _densities(count):
+    grid = make_grid(64, 10.0)
+    rng = np.random.default_rng(count)
+    return [Density(grid, rng.random(grid.n_points)) for _ in range(count)]
+
+
+def _serial_bytes(tmp_path, densities) -> list:
+    """The files of the one-process loop the writer must reproduce."""
+    serial = tmp_path / "serial"
+    serial.mkdir()
+    for k, y in enumerate(densities):
+        write_density_csv(serial / f"{k}.csv", y)
+    return [(serial / f"{k}.csv").read_bytes() for k in range(len(densities))]
+
+
+def _write_all(tmp_path, densities) -> list:
+    out = tmp_path / "out"
+    out.mkdir()
+    write_density_csvs([out / f"{k}.csv" for k in range(len(densities))], densities)
+    assert sorted(p.name for p in out.iterdir()) == sorted(f"{k}.csv" for k in range(len(densities)))
+    return [(out / f"{k}.csv").read_bytes() for k in range(len(densities))]
+
+
+def _count_forks(monkeypatch, fail_from=None) -> list:
+    """Record each ``os.fork`` call; the call at index ``fail_from`` and later ones raise EAGAIN."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(None)
+        if fail_from is not None and len(calls) > fail_from:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+needs_fork = pytest.mark.skipif(sys.platform != "linux", reason="the writer forks only on Linux")
+
+
+@needs_fork
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 11])
+def test_density_csvs_match_the_serial_writer(tmp_path, monkeypatch, count):
+    # three usable cores: 2 and 3+ files take 2 and 3 processes, whatever this machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = _count_forks(monkeypatch)
+    densities = _densities(count)
+    assert _write_all(tmp_path, densities) == _serial_bytes(tmp_path, densities)
+    assert len(forks) == max(0, min(count, 3) - 1)
+
+
+@needs_fork
+@pytest.mark.parametrize("fail_from", [0, 1], ids=["first_fork", "second_fork"])
+def test_density_csvs_write_an_unforked_share_in_process(tmp_path, monkeypatch, fail_from):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = _count_forks(monkeypatch, fail_from)
+    densities = _densities(11)
+    assert _write_all(tmp_path, densities) == _serial_bytes(tmp_path, densities)
+    assert len(forks) == fail_from + 1
+
+
+def test_density_csvs_never_fork_beside_a_live_thread(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called while another Python thread runs")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        densities = _densities(11)
+        assert _write_all(tmp_path, densities) == _serial_bytes(tmp_path, densities)
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+@needs_fork
+@pytest.mark.parametrize("step", [1, 2], ids=["child_share", "parent_share"])
+def test_iterate_write_failure_reads_as_the_serial_one(tmp_path, monkeypatch, capsys, step):
+    # with two processes the child writes the odd steps and the parent the even ones
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def failing_run(name):
+        out = tmp_path / name
+        (out / f"density_step_{step:03d}.csv").mkdir(parents=True)
+        assert cli.main(["iterate", "--n-points", "257", "--steps", "3", "--out", str(out)]) == 2
+        return capsys.readouterr().err.replace(str(out), "OUT")
+
+    forks = _count_forks(monkeypatch)
+    forked = failing_run("forked")
+    monkeypatch.setattr(threading, "active_count", lambda: 2)  # now one process writes every file
+    serial = failing_run("serial")
+    assert len(forks) == 1
+    assert forked == serial == f"error: [Errno 21] Is a directory: 'OUT/density_step_{step:03d}.csv'\n"
 
 
 @st.composite
