@@ -42,6 +42,7 @@ from .grid import (
     DOMAIN_MEAN_MULTIPLE,
     default_grid,
     make_grid,
+    map_on_cores,
     read_density_csv,
     write_csv,
     write_density_csvs,
@@ -52,11 +53,29 @@ from .verify import VerifySettings, format_checks, report_as_dict, run_property_
 FAMILIES_DEFAULT_N_POINTS = 32769
 FAMILY_KINDS = [kind.value for kind in FamilyKind]
 FAMILY_OPTIONS = ("alpha", "beta", "n", "eps")
+START_DEFAULTS = {"alpha": 1.0, "beta": 3.0, "n": 1, "eps": 0.5, "mean": 1.0}
+
+
+def _start_option(args, name):
+    """The start option ``name`` as given on the command line, else its default."""
+    value = getattr(args, name)
+    return START_DEFAULTS[name] if value is None else value
+
+
+def _reject_unused(args, used, start: str) -> None:
+    """Raise ValueError naming every start option given on the command line but not in ``used``."""
+    unused = [f"--{name}" for name in START_DEFAULTS
+              if name not in used and getattr(args, name, None) is not None]
+    if unused:
+        raise ValueError(f"{', '.join(unused)} {'does' if len(unused) == 1 else 'do'} not apply {start}")
 
 
 def _family_spec_from_args(args) -> FamilySpec:
-    """The member named by ``--family``; FamilySpec drops the options its kind does not use."""
-    return FamilySpec(args.family, **{name: getattr(args, name) for name in FAMILY_OPTIONS})
+    """The member named by ``--family``; an option given that FamilySpec drops for its kind raises."""
+    spec = FamilySpec(args.family, **{name: _start_option(args, name) for name in FAMILY_OPTIONS})
+    _reject_unused(args, [name for name in FAMILY_OPTIONS if getattr(spec, name) is not None],
+                   f"to --family {args.family}")
+    return spec
 
 
 def _family_record(spec: FamilySpec) -> dict:
@@ -69,6 +88,7 @@ def _resolve_initial(args):
     if args.initial is not None:
         if args.n_points is not None or args.x_max is not None:
             raise ValueError("--n-points and --x-max do not apply with --initial: the grid is the file's")
+        _reject_unused(args, (), "with --initial: the start is the file's")
         y0 = read_density_csv(args.initial)
         return y0, {
             "initial": str(args.initial),
@@ -76,7 +96,8 @@ def _resolve_initial(args):
             "x_max": y0.grid.x_max,
         }
     if args.family == "triangle":
-        spec, mean = None, args.mean
+        _reject_unused(args, ("mean",), "to --family triangle")
+        spec, mean = None, _start_option(args, "mean")
         record = {"family": "triangle", "mean": mean}
     else:
         spec = _family_spec_from_args(args)
@@ -152,9 +173,10 @@ def cmd_families(args) -> tuple[int, dict]:
     if args.family is not None:
         specs = [_family_spec_from_args(args)]
     else:
+        _reject_unused(args, (), "to the lattice run; name one member with --family")
         specs = list(PARAMETER_LATTICE)
-    results = [contraction_check(spec, default_grid(family_mean(spec), args.n_points))
-               for spec in specs]
+    results = map_on_cores(lambda spec: contraction_check(spec, default_grid(family_mean(spec), args.n_points)),
+                           specs)
     columns = [_label_column(spec.kind.value for spec in specs)]
     columns += [_label_column(getattr(spec, name) for spec in specs) for name in FAMILY_OPTIONS]
     columns += [[r.d_before for r in results], [r.d_after for r in results],
@@ -166,10 +188,10 @@ def cmd_families(args) -> tuple[int, dict]:
 
 
 def _add_family_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=1.0, help="rate parameter alpha > 0")
-    p.add_argument("--beta", type=float, default=3.0, help="second rate for the mix family")
-    p.add_argument("--n", type=int, default=1, help="gamma/epsmix order n >= 0")
-    p.add_argument("--eps", type=float, default=0.5, help="epsmix weight in [0, 1]")
+    p.add_argument("--alpha", type=float, help="rate parameter alpha > 0")
+    p.add_argument("--beta", type=float, help="second rate for the mix family")
+    p.add_argument("--n", type=int, help="gamma/epsmix order n >= 0")
+    p.add_argument("--eps", type=float, help="epsmix weight in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument("--initial", type=Path, default=None, help="initial density CSV (x,density)")
     _add_family_options(p_it)
-    p_it.add_argument("--mean", type=float, default=1.0, help="triangle mean")
+    p_it.add_argument("--mean", type=float, help="triangle mean")
     p_it.add_argument("--steps", type=int, default=10)
     p_it.add_argument("--n-points", type=int, default=None, help=f"grid nodes (default {DEFAULT_N_POINTS})")
     p_it.add_argument("--x-max", type=float, default=None, help="domain cut (default 40 * mean)")

@@ -163,6 +163,25 @@ def test_iterate_initial_rejects_grid_options(tmp_path, capsys, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["iterate", "--family", "triangle", "--alpha", "5", "--n", "3"],
+     "--alpha, --n do not apply to --family triangle"),
+    (["iterate", "--family", "gamma", "--mean", "7"], "--mean does not apply to --family gamma"),
+    (["iterate", "--initial", "IC", "--eps", "0.1"],
+     "--eps does not apply with --initial: the start is the file's"),
+    (["families", "--alpha", "7"], "--alpha does not apply to the lattice run; name one member with --family"),
+    (["families", "--family", "exponential", "--n", "4"], "--n does not apply to --family exponential"),
+], ids=["triangle", "gamma_mean", "initial", "lattice", "exponential_n"])
+def test_start_options_the_run_does_not_use_exit_2(tmp_path, capsys, args, message):
+    # an option the chosen start or family does not use would otherwise be silently ignored
+    g = make_grid(257, 40.0)
+    write_density_csv(tmp_path / "ic.csv", Density(g, np.exp(-g.nodes)))
+    out = tmp_path / "out"
+    assert run_cli([tmp_path / "ic.csv" if a == "IC" else a for a in args] + ["--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text",
     ["", "x,density\n", "x,density\n0.0,1.0\n1.0\n", "x,density\n0.0,1.0\n1.0,abc\n"],

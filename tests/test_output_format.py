@@ -3,13 +3,15 @@
 The format: a header row, CRLF line ends, floats at 17 significant digits
 (``.17g``), other cells through ``str()``; JSON with ``indent=2``, sorted
 keys and a trailing newline.  The other tests compare a run with itself;
-these pin the bytes against literals.
+these pin the bytes against literals.  The forked writer and
+``map_on_cores`` are held to the serial loop's results, bytes and errors.
 """
 
 import errno
 import json
 import os
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -27,11 +29,12 @@ from wealthgas.agents import (
     write_histogram_csv,
 )
 from wealthgas.evolution import IterationReport, write_reports_csv
-from wealthgas.families import ContractionResult, FamilyKind, triangle_density
+from wealthgas.families import PARAMETER_LATTICE, ContractionResult, FamilyKind, triangle_density
 from wealthgas.grid import (
     DENSITY_CSV_HEADER,
     Density,
     make_grid,
+    map_on_cores,
     read_density_csv,
     write_csv,
     write_density_csv,
@@ -142,17 +145,17 @@ def _write_all(tmp_path, densities) -> list:
     return [(out / f"{k}.csv").read_bytes() for k in range(len(densities))]
 
 
-def _count_forks(monkeypatch, fail_from=None) -> list:
-    """Record each ``os.fork`` call; the call at index ``fail_from`` and later ones raise EAGAIN."""
-    calls, fork = [], os.fork
+def _count_calls(monkeypatch, fail_from=None, module=os, name="fork") -> list:
+    """Record each call of ``module.name``; the call at index ``fail_from`` and later ones raise EAGAIN."""
+    calls, call = [], getattr(module, name)
 
     def counted():
         calls.append(None)
         if fail_from is not None and len(calls) > fail_from:
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return fork()
+        return call()
 
-    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -164,7 +167,7 @@ needs_fork = pytest.mark.skipif(sys.platform != "linux", reason="the writer fork
 def test_density_csvs_match_the_serial_writer(tmp_path, monkeypatch, count):
     # three usable cores: 2 and 3+ files take 2 and 3 processes, whatever this machine has
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    forks = _count_forks(monkeypatch)
+    forks = _count_calls(monkeypatch)
     densities = _densities(count)
     assert _write_all(tmp_path, densities) == _serial_bytes(tmp_path, densities)
     assert len(forks) == max(0, min(count, 3) - 1)
@@ -174,7 +177,7 @@ def test_density_csvs_match_the_serial_writer(tmp_path, monkeypatch, count):
 @pytest.mark.parametrize("fail_from", [0, 1], ids=["first_fork", "second_fork"])
 def test_density_csvs_write_an_unforked_share_in_process(tmp_path, monkeypatch, fail_from):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    forks = _count_forks(monkeypatch, fail_from)
+    forks = _count_calls(monkeypatch, fail_from)
     densities = _densities(11)
     assert _write_all(tmp_path, densities) == _serial_bytes(tmp_path, densities)
     assert len(forks) == fail_from + 1
@@ -198,23 +201,114 @@ def test_density_csvs_never_fork_beside_a_live_thread(tmp_path, monkeypatch):
 
 
 @needs_fork
-@pytest.mark.parametrize("step", [1, 2], ids=["child_share", "parent_share"])
-def test_iterate_write_failure_reads_as_the_serial_one(tmp_path, monkeypatch, capsys, step):
+@pytest.mark.parametrize("steps", [(1,), (2,), (1, 2)], ids=["child_share", "parent_share", "both_shares"])
+def test_iterate_write_failure_reads_as_the_serial_one(tmp_path, monkeypatch, capsys, steps):
     # with two processes the child writes the odd steps and the parent the even ones
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     def failing_run(name):
         out = tmp_path / name
-        (out / f"density_step_{step:03d}.csv").mkdir(parents=True)
+        for step in steps:
+            (out / f"density_step_{step:03d}.csv").mkdir(parents=True)
         assert cli.main(["iterate", "--n-points", "257", "--steps", "3", "--out", str(out)]) == 2
         return capsys.readouterr().err.replace(str(out), "OUT")
 
-    forks = _count_forks(monkeypatch)
+    forks = _count_calls(monkeypatch)
     forked = failing_run("forked")
     monkeypatch.setattr(threading, "active_count", lambda: 2)  # now one process writes every file
     serial = failing_run("serial")
     assert len(forks) == 1
-    assert forked == serial == f"error: [Errno 21] Is a directory: 'OUT/density_step_{step:03d}.csv'\n"
+    assert forked == serial == f"error: [Errno 21] Is a directory: 'OUT/density_step_{steps[0]:03d}.csv'\n"
+
+
+def _bulky(x):
+    """A result whose pickle outgrows a 64 KiB pipe buffer once a share holds a few."""
+    return [x] * 30_000
+
+
+@needs_fork
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 11])
+def test_map_on_cores_matches_the_serial_loop(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = _count_calls(monkeypatch)
+    assert map_on_cores(_bulky, list(range(count))) == [_bulky(x) for x in range(count)]
+    assert len(forks) == max(0, min(count, 3) - 1)
+
+
+@needs_fork
+@pytest.mark.parametrize("failing, fail_from", [("fork", 0), ("fork", 1), ("TemporaryFile", 1)],
+                         ids=["first_fork", "second_fork", "second_file"])
+def test_map_on_cores_runs_an_unforked_share_in_process(monkeypatch, failing, fail_from):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    files = _count_calls(monkeypatch, fail_from if failing == "TemporaryFile" else None,
+                         tempfile, "TemporaryFile")
+    forks = _count_calls(monkeypatch, fail_from if failing == "fork" else None)
+    assert map_on_cores(_bulky, list(range(11))) == [_bulky(x) for x in range(11)]
+    assert (len(files), len(forks)) == ((fail_from + 1, fail_from + 1) if failing == "fork" else (2, 1))
+
+
+def test_map_on_cores_never_forks_beside_a_live_thread(monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called while another Python thread runs")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert map_on_cores(_bulky, list(range(11))) == [_bulky(x) for x in range(11)]
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+@needs_fork
+@pytest.mark.parametrize("bad", [{1}, {2}, {1, 2}, {2, 3}], ids=["child", "parent", "both", "parent_first"])
+def test_map_on_cores_raises_the_serial_loops_first_error(monkeypatch, bad):
+    # with two processes the child takes the odd items and the parent the even ones
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _count_calls(monkeypatch)
+
+    def fn(x):
+        if x in bad:
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match=f"^item {min(bad)}$"):
+        map_on_cores(fn, list(range(5)))
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_families_forked_reads_as_one_core(tmp_path, monkeypatch, capsys):
+    def run(cores, name):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        out = tmp_path / name
+        code = cli.main(["families", "--n-points", "1025", "--out", str(out)])
+        return code, capsys.readouterr().err.replace(str(out), "OUT"), out
+
+    forks = _count_calls(monkeypatch)
+    forked, serial = run({0, 1}, "forked"), run({0}, "serial")
+    assert len(forks) == 1
+    assert forked[:2] == serial[:2] == (0, "")
+    for name in ("families.csv", "manifest.json"):
+        assert (forked[2] / name).read_bytes() == (serial[2] / name).read_bytes()
+
+    # one failing spec in each share: the parent's (index 4) and the child's (index 3)
+    bad = {PARAMETER_LATTICE[3], PARAMETER_LATTICE[4]}
+    check = cli.contraction_check
+
+    def failing_check(spec, grid):
+        if spec in bad:
+            raise ValueError(f"no check for {spec.kind.value} alpha={spec.alpha} n={spec.n}")
+        return check(spec, grid)
+
+    monkeypatch.setattr(cli, "contraction_check", failing_check)
+    forked, serial = run({0, 1}, "forked_bad"), run({0}, "serial_bad")
+    assert len(forks) == 2
+    assert forked[:2] == serial[:2] == (2, "error: no check for gamma alpha=0.5 n=5\n")
 
 
 @st.composite
@@ -349,10 +443,12 @@ def test_manifest_bytes(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [k.value for k in FamilyKind])
-def test_families_manifest_records_the_options_iterate_records(tmp_path, monkeypatch, kind):
-    # every option is passed; each manifest keeps only those the kind uses
+def test_families_manifest_records_the_options_iterate_records(tmp_path, monkeypatch, capsys, kind):
+    # each kind takes the options it uses, both commands record them alike and reject the others
     monkeypatch.setattr(cli, "contraction_check", _fixed_contraction)
-    opts = ["--family", kind, "--alpha", "2", "--beta", "0.5", "--n", "3", "--eps", "0.75"]
+    used = {"exponential": (), "gamma": ("n",), "mix": ("beta",), "epsmix": ("n", "eps")}[kind]
+    values = {"alpha": "2", "beta": "0.5", "n": "3", "eps": "0.75"}
+    opts = ["--family", kind] + [a for name in ("alpha", *used) for a in (f"--{name}", values[name])]
     assert cli.main(["families", *opts, "--out", str(tmp_path / "fam")]) == 0
     assert cli.main(["iterate", *opts, "--steps", "1", "--n-points", "1025",
                      "--out", str(tmp_path / "it")]) == 0
@@ -360,8 +456,16 @@ def test_families_manifest_records_the_options_iterate_records(tmp_path, monkeyp
     it = json.loads((tmp_path / "it" / "manifest.json").read_text())["options"]
     fields = ("family", "alpha", "beta", "n", "eps")
     assert {k: fam[k] for k in fields} == {k: it[k] for k in fields}
-    used = {"exponential": (), "gamma": ("n",), "mix": ("beta",), "epsmix": ("n", "eps")}[kind]
     assert [k for k in fields[2:] if fam[k] is not None] == list(used)
+
+    unused = [name for name in fields[2:] if name not in used]
+    every = opts + [a for name in unused for a in (f"--{name}", values[name])]
+    names = ", ".join(f"--{name}" for name in unused)
+    verb = "does" if len(unused) == 1 else "do"
+    for sub in (["families"], ["iterate", "--steps", "1", "--n-points", "1025"]):
+        assert cli.main([*sub, *every, "--out", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == f"error: {names} {verb} not apply to --family {kind}\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_verify_report_bytes(tmp_path, monkeypatch):
