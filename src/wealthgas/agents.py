@@ -259,7 +259,7 @@ def fit_exponential(ens: AgentEnsemble) -> ExponentialFit:
 
 
 def write_ensemble_csv(path, ens: AgentEnsemble) -> None:
-    write_csv(path, ("agent_id", "money"), (range(ens.n_agents), ens.money.tolist()))
+    write_csv(path, ("agent_id", "money"), (range(ens.n_agents), ens.money))
 
 
 def write_histogram_csv(path, hist: HistogramEstimate) -> None:

@@ -207,8 +207,9 @@ def iterate_operator(
     squares the mass on its doubled domain.  Raises MassDefectError when the
     start fails the tail rule values[-1] <= 1e-8 * max, or when the defects
     summed over the run exceed 1e-6: the domain is then too small for the
-    requested run.  A start with no mass raises DegenerateDensityError from
-    quad_mean.
+    requested run, or, when the start's mass is not 1 (to 1e-12), the mass
+    grew as c -> c**2 per step and the message names it.  A start with no
+    mass raises DegenerateDensityError from quad_mean.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be positive, got {n_steps}")
@@ -219,7 +220,7 @@ def iterate_operator(
     densities = [y0]
     reports: list[IterationReport] = []
     y = y0
-    norm = quad_norm(y0)
+    norm = start_mass = quad_norm(y0)
     lost = 0.0
     for step in range(1, n_steps + 1):
         y_next = apply_operator(y)
@@ -227,10 +228,10 @@ def iterate_operator(
         defect = norm**2 - norm_next
         lost += defect
         if lost > MASS_DEFECT_LIMIT:
-            raise MassDefectError(
-                f"mass defect {lost:.3e} > {MASS_DEFECT_LIMIT:.0e} at step {step}; "
-                "increase x_max"
-            )
+            cause = "increase x_max" if abs(start_mass - 1.0) <= 1e-12 else (
+                f"the start's mass is {start_mass:.17g}, not 1: a step maps mass c to c**2, so it is now "
+                f"{norm_next:.3e} and the defect is rounding, not loss past x_max; normalize the start")
+            raise MassDefectError(f"mass defect {lost:.3e} > {MASS_DEFECT_LIMIT:.0e} at step {step}; {cause}")
         report = IterationReport(
             step=step,
             norm=norm_next,

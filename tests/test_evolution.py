@@ -322,8 +322,19 @@ def test_iterate_signals_mass_defect_at_a_step():
     x = g.nodes
     w = 4e-3
     y0 = normalized(Density(g, (1 - w) * 2 * np.exp(-2 * x) + w * ((x >= 600) & (x <= 700)) / 100))
-    with pytest.raises(MassDefectError, match=r"mass defect 3\.680e-06 > 1e-06 at step 1;"):
+    with pytest.raises(MassDefectError, match=r"^mass defect 3\.680e-06 > 1e-06 at step 1; increase x_max$"):
         iterate_operator(y0, 3)
+
+
+def test_iterate_names_the_mass_law_for_a_non_unit_start():
+    # a step maps mass c to c**2: from mass 1.5 the rounding of a mass of 1.5**128 passes the
+    # defect budget at step 7, and a larger domain would not help
+    y0 = triangle_density(make_grid(4097, 40.0), 1.0).scaled(1.5)
+    with pytest.raises(MassDefectError, match=(
+            r"^mass defect 4\.194e\+06 > 1e-06 at step 7; the start's mass is 1\.5, not 1: a step maps "
+            r"mass c to c\*\*2, so it is now 3\.465e\+22 and the defect is rounding, not loss past x_max; "
+            r"normalize the start$")):
+        iterate_operator(y0, 10)
 
 
 def test_iterate_reports_the_exact_mass_defect():

@@ -3,16 +3,20 @@
 The format: a header row, CRLF line ends, floats at 17 significant digits
 (``.17g``), other cells through ``str()``; JSON with ``indent=2``, sorted
 keys and a trailing newline.  The other tests compare a run with itself;
-these pin the bytes against literals.  The forked writer and
-``map_on_cores`` are held to the serial loop's results, bytes and errors.
+these pin the bytes against literals.  The vectorized float formatter
+``_float_cells`` is held to Python's ``'%.17g'`` cell by cell, and the
+forked writer and ``map_on_cores`` to the serial loop's results, bytes and
+errors.
 """
 
 import errno
 import json
+import math
 import os
 import sys
 import tempfile
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,19 +24,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wealthgas import __version__, cli
+from wealthgas import grid as grid_module
 from wealthgas.agents import (
     AgentEnsemble,
     ExponentialFit,
     HistogramEstimate,
+    init_ensemble,
+    run_transactions,
     write_ensemble_csv,
     write_fit_json,
     write_histogram_csv,
 )
 from wealthgas.evolution import IterationReport, write_reports_csv
-from wealthgas.families import PARAMETER_LATTICE, ContractionResult, FamilyKind, triangle_density
+from wealthgas.evolution import iterate_operator
+from wealthgas.families import (
+    PARAMETER_LATTICE,
+    ContractionResult,
+    FamilyKind,
+    FamilySpec,
+    family_mean,
+    sample_family,
+    triangle_density,
+)
 from wealthgas.grid import (
     DENSITY_CSV_HEADER,
     Density,
+    _float_cells,
+    default_grid,
     make_grid,
     map_on_cores,
     read_density_csv,
@@ -329,6 +347,95 @@ def test_density_template_matches_the_per_cell_formatter(tmp_path_factory, y):
     back = read_density_csv(path)
     assert back.grid == y.grid
     assert np.array_equal(back.values, y.values)
+
+
+def _assert_cells_match_python(values):
+    """``_float_cells`` must give ``b'%.17g' % v`` for every value, cell by cell."""
+    values = np.asarray(values, dtype=np.float64)
+    for start in range(0, len(values), 1 << 16):
+        block = values[start:start + (1 << 16)]
+        cells = _float_cells(block)
+        lines = np.concatenate([cells, np.full((len(block), 1), ord("\n"), np.uint8)], axis=1)
+        got = lines.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+        want = [b"%.17g" % v for v in block.tolist()]
+        bad = [(v, g, w) for v, g, w in zip(block.tolist(), got, want) if g != w]
+        assert len(got) == len(want) and not bad, f"{len(bad)} cells differ from %.17g, first {bad[:3]}"
+
+
+def test_float_cells_match_python_on_random_bit_patterns():
+    bits = np.frombuffer(np.random.default_rng(20261019).bytes(8 * 10**6), np.uint64)
+    # every biased exponent, subnormals (0) and inf/nan (2047) included, with both signs
+    assert np.unique(bits >> 52).size == 4096
+    _assert_cells_match_python(bits.view(np.float64))
+
+
+def test_float_cells_match_python_at_powers_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    _assert_cells_match_python(np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers]))
+
+
+def test_float_cells_match_python_at_the_g_switch_points():
+    # 300 doubles each side of the points where %g turns from d.ddde-05 to 0.0001 and 1e+16 to
+    # 10000000000000000, and where the 17 digits run out
+    steps = np.arange(-300, 301)
+    near = [(np.float64(c).view(np.int64) + steps).view(np.float64) for c in (1e-5, 1e-4, 1e16, 1e17)]
+    _assert_cells_match_python(np.concatenate(near))
+
+
+def test_float_cells_match_python_on_integers():
+    rng = np.random.default_rng(7)
+    big = [2.0**53 + k for k in range(-8, 9)] + [10.0**k + d for k in range(1, 18) for d in (-1, 0, 1)]
+    _assert_cells_match_python(np.concatenate([
+        np.arange(1.0, 100_001.0), big, [15.0, 155.0, 1e17],
+        rng.integers(1, 10**17, 100_000).astype(np.float64),
+    ]))
+
+
+def test_float_cells_match_python_on_exact_halfway_cases():
+    # x = m / 2**(17 - e) with m odd and 10**e <= x < 10**(e+1): x * 10**(16 - e) = m * 5**(16 - e) / 2,
+    # a tie that %.17g breaks to even
+    rng = np.random.default_rng(11)
+    ties = []
+    for e in range(-8, 16):
+        low, high = 2**17 * Fraction(5) ** e, min(10 * 2**17 * Fraction(5) ** e, Fraction(2**53))
+        odd = rng.integers(math.ceil(low) // 2, math.ceil(high) // 2, 200) * 2 + 1
+        ties += [math.ldexp(int(m), e - 17) for m in odd if low <= m < high]
+    for x in ties:
+        e = math.floor(math.log10(x))
+        assert (Fraction(x) * Fraction(10) ** (16 - e)).denominator == 2, x
+    assert len(ties) > 4000
+    _assert_cells_match_python(ties)
+
+
+def test_float_cells_match_python_on_special_values():
+    _assert_cells_match_python([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                                1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan])
+
+
+def test_iterated_densities_and_an_ensemble_never_need_the_fallback(tmp_path, monkeypatch):
+    undecided = []
+    python_cells = grid_module._python_cells
+
+    def counted(values):
+        undecided.extend(values.tolist())
+        return python_cells(values)
+
+    monkeypatch.setattr(grid_module, "_python_cells", counted)
+    gamma = FamilySpec(FamilyKind.GAMMA, alpha=1.0, n=3)
+    starts = [triangle_density(make_grid(32769, 40.0)),
+              sample_family(gamma, default_grid(family_mean(gamma), 32769))]
+    for y0 in starts:
+        densities, _ = iterate_operator(y0, 10)
+        for k, y in enumerate(densities):
+            write_density_csv(tmp_path / f"{k}.csv", y)
+        assert (tmp_path / f"{k}.csv").read_bytes() == _reference_csv(
+            DENSITY_CSV_HEADER, zip(y.grid.nodes.tolist(), y.values.tolist()))
+    ens = run_transactions(init_ensemble(100_000, equal=1.0, seed=3), 10**6)
+    write_ensemble_csv(tmp_path / "e.csv", ens)
+    assert (tmp_path / "e.csv").read_bytes() == _reference_csv(
+        ("agent_id", "money"), enumerate(ens.money.tolist()))
+    assert undecided == []
 
 
 def test_reports_csv_bytes(tmp_path):
