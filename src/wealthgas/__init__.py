@@ -5,9 +5,9 @@ Core pieces:
 * uniform grids and sampled densities with trapezoid quadrature (``grid``),
 * the one-step redistribution operator, its iteration driver, and
   Fourier-side diagnostics (``evolution``),
-* analytic density families with closed-form first steps (``families``),
-* self-contained incomplete-gamma / exponential-integral routines
-  (``specialfn``),
+* analytic density families, gamma mixtures whose closed-form first step
+  acts on their coefficients (``families``),
+* a self-contained exponential integral E1 (``specialfn``),
 * an agent-based Monte Carlo of pairwise random exchanges (``agents``),
 * the executable property suite behind ``wealthgas verify`` (``verify``).
 """
@@ -35,7 +35,6 @@ from .evolution import (
     matched_exponential,
     characteristic_function,
     fixed_point_ode_residual,
-    derivatives_at_zero,
     write_reports_csv,
 )
 from .families import (
@@ -87,7 +86,6 @@ __all__ = [
     "matched_exponential",
     "characteristic_function",
     "fixed_point_ode_residual",
-    "derivatives_at_zero",
     "write_reports_csv",
     "FamilyKind",
     "FamilySpec",

@@ -39,7 +39,6 @@ from .families import (
 )
 from .grid import (
     DEFAULT_N_POINTS,
-    DOMAIN_MEAN_MULTIPLE,
     default_grid,
     make_grid,
     map_on_cores,
@@ -103,8 +102,8 @@ def _resolve_initial(args):
         spec = _family_spec_from_args(args)
         mean = family_mean(spec)
         record = _family_record(spec)
-    x_max = args.x_max if args.x_max is not None else DOMAIN_MEAN_MULTIPLE * mean
-    grid = make_grid(DEFAULT_N_POINTS if args.n_points is None else args.n_points, x_max)
+    n_points = DEFAULT_N_POINTS if args.n_points is None else args.n_points
+    grid = default_grid(mean, n_points) if args.x_max is None else make_grid(n_points, args.x_max)
     record.update({"n_points": grid.n_points, "x_max": grid.x_max})
     y0 = triangle_density(grid, mean) if spec is None else sample_family(spec, grid)
     return y0, record

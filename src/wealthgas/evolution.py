@@ -303,8 +303,3 @@ def extrapolated_to_zero(chain: list[np.ndarray]) -> tuple[float, ...]:
     c1 = (0 - j0) * (0 - j2) / ((j1 - j0) * (j1 - j2))
     c2 = (0 - j0) * (0 - j1) / ((j2 - j0) * (j2 - j1))
     return tuple(float(c0 * d[j0] + c1 * d[j1] + c2 * d[j2]) for d in chain)
-
-
-def derivatives_at_zero(y: Density) -> tuple[float, float, float, float]:
-    """y(0), y'(0), y''(0) and y'''(0) from one chain of central differences."""
-    return extrapolated_to_zero(derivative_chain(y))

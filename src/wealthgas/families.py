@@ -1,26 +1,27 @@
 """Analytic density families, their means, and closed-form first steps.
 
-Each family is a mixture sum_k w_k gamma(r_k, n_k) of unit-mass gamma
-densities r^(n+1)/n! x^n e^(-r x) (order 0 is the exponential), with
-components (weight, rate, order):
+At a rate r, write gamma_k = r (r x)^k e^(-r x)/k! for the unit-mass gamma
+density of order k (order 0 is the exponential).  Each family is one
+coefficient vector c per rate, the member being sum_k c_k gamma_k:
 
-* exponential(alpha):        (1, alpha, 0)
-* gamma(alpha, n):           (1, alpha, n)
-* mix(alpha, beta):          (1/2, alpha, 0), (1/2, beta, 0)
-* epsmix(eps, alpha, n):     (1-eps, alpha, 0), (eps, alpha, n)
+* exponential(alpha):        c = e_0 at alpha
+* gamma(alpha, n):           c = e_n at alpha
+* mix(alpha, beta):          c = (1/2) e_0 at alpha and at beta
+* epsmix(eps, alpha, n):     c = (1-eps) e_0 + eps e_n at alpha
 
-Density and mean are sums over the components.  The operator is the
+Every such sum is evaluated by one term recurrence.  The operator is the
 quadratic form T(f) = B(f, f) of the bilinear map
-B(f, g)(x) = integral_x^inf (f*g)(r)/r dr, so a mixture's image is
-sum_k w_k^2 B(k, k) + sum_{k<l} 2 w_k w_l B(k, l), an exact oracle for the
-numerical operator.  B has one closed form on a common rate r,
+B(f, g)(x) = integral_x^inf (f*g)(r)/r dr, and on a common rate
+B(gamma_a, gamma_b) = (1/m) sum_{k<m} gamma_k with m = a + b + 1, so the
+image of one rate's coefficients is again a coefficient vector,
 
-    B(gamma(r, a), gamma(r, b))(x) = r/m Q(m, r x),   m = a + b + 1,
+    (Tc)_k = sum_{m>=k} (c*c)_m/(m+1),
 
-with Q the regularized upper incomplete gamma function, finite for every
-argument.  Unequal rates meet only in the mix, between two exponentials:
+an exact oracle for the numerical operator.  An order-0 member has
+c = [1.0] exactly, which the step maps to itself bit for bit.  Unequal rates
+meet only in the mix, between two exponentials:
 B(exp_a, exp_b)(x) = ab/(a-b) (E1(b x) - E1(a x)), which tends to
-ab/(a-b) ln(a/b) at x = 0.  Every order-0 member is its own image.
+ab/(a-b) ln(a/b) at x = 0.
 
 Sampled densities are normalized to unit mass under the grid quadrature,
 so sampled fixed points are fixed points of the discrete operator too.
@@ -31,13 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
 from .evolution import apply_operator
 from .grid import Density, Grid, l1_distance, normalized
-from .specialfn import MAX_ORDER, exp_integral_e1_array, regularized_upper_gamma
+from .specialfn import exp_integral_e1_array
+
+# outside input stops at order n = 40, whose step sums 2n + 1 = 81 terms
+_MAX_N = 40
 
 
 class FamilyKind(str, Enum):
@@ -69,9 +72,8 @@ class FamilySpec:
         if self.kind in (FamilyKind.GAMMA, FamilyKind.EPSILON_MIX):
             if self.n is None or not self.n >= 0 or not float(self.n).is_integer():
                 raise ValueError(f"n must be a nonnegative integer, got {self.n}")
-            # the closed-form step needs Gamma(2n+1, .), whose order 2n is capped
-            if self.n > MAX_ORDER // 2:
-                raise ValueError(f"n capped at {MAX_ORDER // 2}, got {self.n}")
+            if self.n > _MAX_N:
+                raise ValueError(f"n capped at {_MAX_N}, got {self.n}")
             object.__setattr__(self, "n", int(self.n))
         else:
             object.__setattr__(self, "n", None)
@@ -89,32 +91,44 @@ class FamilySpec:
             object.__setattr__(self, "eps", None)
 
 
-def _components(spec: FamilySpec) -> tuple[tuple[float, float, int], ...]:
-    """The (weight, rate, order) gamma components whose mixture is the family."""
-    if spec.kind is FamilyKind.EXPONENTIAL:
-        return ((1.0, spec.alpha, 0),)
-    if spec.kind is FamilyKind.GAMMA:
-        return ((1.0, spec.alpha, spec.n),)
+def _coefficients(spec: FamilySpec) -> tuple[tuple[float, np.ndarray], ...]:
+    """The member as (rate, c) pairs: the sum over pairs of sum_k c_k gamma_k at that rate."""
     if spec.kind is FamilyKind.TWO_EXP_MIX:
-        return ((0.5, spec.alpha, 0), (0.5, spec.beta, 0))
-    return ((1.0 - spec.eps, spec.alpha, 0), (spec.eps, spec.alpha, spec.n))
+        return (spec.alpha, np.array([0.5])), (spec.beta, np.array([0.5]))
+    n = spec.n or 0
+    c = np.zeros(n + 1)
+    if spec.kind is FamilyKind.EPSILON_MIX:
+        c[0] += 1.0 - spec.eps
+        c[n] += spec.eps
+    else:
+        c[n] = 1.0
+    return ((spec.alpha, c),)
 
 
-def _gamma_pdf(rate: float, order: int, x: np.ndarray) -> np.ndarray:
-    if order == 0:
-        return rate * np.exp(-rate * x)
-    # prefactor rate^(n+1)/n! via logs; x^n e^(-rate x) assembled per node
-    logc = (order + 1) * math.log(rate) - math.lgamma(order + 1)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    out[pos] = np.exp(logc + order * np.log(x[pos]) - rate * x[pos])
-    return out
+def _gamma_sum(rate: float, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k gamma_k(x) at ``rate``, by the term recurrence t_k = t_{k-1} r x/k from
+    t_0 = r e^(-r x), so no factorial materializes; 0 where e^(-r x) underflows."""
+    if np.any(x < 0.0):
+        raise ValueError("the closed forms need x >= 0")
+    rx = rate * x
+    term = rate * np.exp(-rx)
+    acc = c[0] * term
+    for k in range(1, len(c)):
+        term = term * rx / k
+        acc += c[k] * term
+    return acc
+
+
+def _coefficient_step(c: np.ndarray) -> np.ndarray:
+    """One exact step on the coefficients of one rate: (Tc)_k = sum_{m>=k} (c*c)_m/(m+1)."""
+    tail = np.convolve(c, c) / np.arange(1, 2 * len(c))
+    return np.cumsum(tail[::-1])[::-1]
 
 
 def evaluate_family(spec: FamilySpec, x) -> np.ndarray:
     """Pointwise analytic values (no grid normalization)."""
     x = np.asarray(x, dtype=np.float64)
-    return sum(w * _gamma_pdf(r, n, x) for w, r, n in _components(spec))
+    return sum(_gamma_sum(r, c, x) for r, c in _coefficients(spec))
 
 
 def sample_family(spec: FamilySpec, grid: Grid) -> Density:
@@ -124,34 +138,24 @@ def sample_family(spec: FamilySpec, grid: Grid) -> Density:
 
 
 def family_mean(spec: FamilySpec) -> float:
-    """Closed-form mean of the analytic family member."""
-    return sum(w * ((n + 1) / r) for w, r, n in _components(spec))
-
-
-def _bilinear_image(first: tuple[float, int], second: tuple[float, int], x: np.ndarray) -> np.ndarray:
-    """B(gamma(a, m), gamma(b, k)) at x for two (rate, order) components."""
-    (a, m), (b, k) = first, second
-    if a == b:
-        return a / (m + k + 1) * regularized_upper_gamma(m + k + 1, a * x)
-    # unequal rates: only the mix builds them, between two exponentials (m = k = 0);
-    # ab/(a-b) is formed as a * (b/(a-b)), which neither over- nor underflows
-    scale = a * (b / (a - b))
-    out = np.empty_like(x)
-    pos = x > 0.0
-    xp = x[pos]
-    out[pos] = scale * (exp_integral_e1_array(b * xp) - exp_integral_e1_array(a * xp))
-    # removable singularity at 0: E1(b x) - E1(a x) -> ln(a/b)
-    out[~pos] = scale * math.log(a / b)
-    return out
+    """Closed-form mean of the analytic family member: gamma_k has mean (k+1)/r."""
+    return sum(ck * ((k + 1) / r) for r, c in _coefficients(spec) for k, ck in enumerate(c.tolist()))
 
 
 def closed_form_step_values(spec: FamilySpec, x) -> np.ndarray:
     """Pointwise closed-form image of the family under one operator step."""
     x = np.asarray(x, dtype=np.float64)
-    comps = _components(spec)
-    diagonal = sum(w * w * _bilinear_image((r, n), (r, n), x) for w, r, n in comps)
-    return sum((2.0 * wk * wl * _bilinear_image((rk, nk), (rl, nl), x)
-                for (wk, rk, nk), (wl, rl, nl) in combinations(comps, 2)), diagonal)
+    image = sum(_gamma_sum(r, _coefficient_step(c), x) for r, c in _coefficients(spec))
+    if spec.kind is FamilyKind.TWO_EXP_MIX:
+        # the cross-rate pair, 2 B(exp_a/2, exp_b/2) = (1/2) ab/(a-b) (E1(b x) - E1(a x)), with
+        # ab/(a-b) formed as a * (b/(a-b)), which neither over- nor underflows
+        a, b = spec.alpha, spec.beta
+        scale = a * (b / (a - b))
+        cross = np.full_like(x, scale * math.log(a / b))  # the removable singularity's value at 0
+        pos = x > 0.0
+        cross[pos] = scale * (exp_integral_e1_array(b * x[pos]) - exp_integral_e1_array(a * x[pos]))
+        image = image + 0.5 * cross
+    return image
 
 
 def closed_form_step(spec: FamilySpec, grid: Grid) -> Density:
@@ -184,16 +188,14 @@ class ContractionResult:
 def contraction_check(spec: FamilySpec, grid: Grid) -> ContractionResult:
     """Does one closed-form step move the family toward its limit exponential?
 
-    The reference is the exponential with rate 1/family_mean(spec).  The
-    exponential family, and the gamma and epsilon members of order n = 0
-    that equal it, are their own image: the start stands in for the image, so
-    both distances coincide exactly (the summed epsilon image differs from
-    its start at rounding level) and contracted is False.  oracle_l1_gap is
+    The reference is the exponential with rate 1/family_mean(spec).  Every
+    order-0 member is its own closed-form image bit for bit, so both
+    distances coincide exactly and contracted is False.  oracle_l1_gap is
     the L1 distance between apply_operator and the closed-form image.
     """
     w = sample_family(FamilySpec(FamilyKind.EXPONENTIAL, alpha=1.0 / family_mean(spec)), grid)
     y = sample_family(spec, grid)
-    ty = y if spec.kind is FamilyKind.EXPONENTIAL or spec.n == 0 else closed_form_step(spec, grid)
+    ty = closed_form_step(spec, grid)
     d_before = l1_distance(y, w)
     d_after = l1_distance(ty, w)
     return ContractionResult(

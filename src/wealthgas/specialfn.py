@@ -1,14 +1,8 @@
-"""Self-contained incomplete gamma and exponential integral, vectorized over x.
+"""Self-contained exponential integral E1(x) = Gamma(0, x), vectorized over x.
 
-Only the cases the closed-form family iterates actually need are provided:
-
-* Q(s, x) = Gamma(s, x)/Gamma(s) for integer s >= 1, via the finite sum
-  Q(s, x) = exp(-x) * sum_{k<s} x^k / k!, with orders capped at
-  MAX_ORDER = 80 (s <= 81),
-* E1(x) = Gamma(0, x): a fixed-length series up to x = 1.5 and a
-  fixed-depth continued fraction beyond.
-
-Everything is double precision.
+The closed-form image of the two-rate mix needs it: a fixed-length series
+up to x = 1.5 and a fixed-depth continued fraction beyond, in double
+precision.
 """
 
 from __future__ import annotations
@@ -16,33 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606
-MAX_ORDER = 80
 _E1_BRANCH_POINT = 1.5
 _E1_SERIES_TERMS = 30
 _E1_CF_DEPTH = 100
-
-
-def regularized_upper_gamma(s: int, x: np.ndarray) -> np.ndarray:
-    """Q(s, x) = Gamma(s, x)/Gamma(s) for integer s >= 1, vectorized over x.
-
-    Q(s, x) = e^(-x) sum_{k<s} x^k/k!; the sum is built by the stable term
-    recurrence t_k = t_{k-1} * x/k with t_0 = e^(-x), so no factorial ever
-    materializes.  Where e^(-x) underflows the result is 0.
-    """
-    if int(s) != s or s < 1:
-        raise ValueError(f"s must be a positive integer, got {s}")
-    s = int(s)
-    if s - 1 > MAX_ORDER:
-        raise ValueError(f"gamma order s-1 capped at {MAX_ORDER}, got {s - 1}")
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0.0):
-        raise ValueError("x must be nonnegative")
-    term = np.exp(-x)
-    acc = term.copy()
-    for k in range(1, s):
-        term = term * x / k
-        acc += term
-    return np.minimum(acc, 1.0)
 
 
 def exp_integral_e1_array(x: np.ndarray) -> np.ndarray:

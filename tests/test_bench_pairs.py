@@ -70,3 +70,20 @@ def test_main_alternates_the_first_side_and_keeps_other_workloads(tmp_path, monk
     assert bench["seconds"] == 5.0
     assert [p["first"] for p in bench["workloads"]["iterate"]["pairs"]] == ["parent", "change", "parent"]
     assert bench["workloads"]["iterate"]["change_wins"]["wall_s"] == 3
+
+
+def test_median_change_is_signed_worse_and_read_against_the_bound():
+    # change: 20% slower (bound 0.25), 25% more memory (bound 0.2), 2% fewer jobs ok (bound 0.01)
+    pairs = [{"seed": seed, "first": "parent", "parent": _run(seed, 0.2),
+              "change": _run(seed, 0.24, rss=50.0, ok=0.98)} for seed in (1, 2, 3)]
+    changes = bench_pairs.summarize(pairs)["median_change"]
+    assert set(changes) == set(UNITS)
+    assert changes["wall_s"] == {"worse_by": pytest.approx(0.2), "bound": 0.25, "beyond_bound": False}
+    assert changes["work_per_s"]["worse_by"] == pytest.approx(1 - 0.2 / 0.24)
+    assert changes["peak_rss_mb"] == {"worse_by": pytest.approx(0.25), "bound": 0.2, "beyond_bound": True}
+    assert changes["ok_frac"] == {"worse_by": pytest.approx(0.02), "bound": 0.01, "beyond_bound": True}
+    assert changes["setup_s"] == {"worse_by": 0.0, "bound": 0.25, "beyond_bound": False}
+    # a better change reads negative
+    better = bench_pairs.summarize([{**p, "parent": p["change"], "change": p["parent"]} for p in pairs])
+    assert better["median_change"]["wall_s"]["worse_by"] == pytest.approx(-1 / 6)
+    assert not any(m["beyond_bound"] for m in better["median_change"].values())

@@ -21,7 +21,6 @@ from wealthgas import (
     autoconvolve,
     characteristic_function,
     closed_form_step,
-    derivatives_at_zero,
     fixed_point_ode_residual,
     iterate_operator,
     l1_distance,
@@ -34,7 +33,7 @@ from wealthgas import (
     write_reports_csv,
 )
 from wealthgas import evolution
-from wealthgas.evolution import REPORT_CSV_HEADER
+from wealthgas.evolution import REPORT_CSV_HEADER, derivative_chain, extrapolated_to_zero
 from wealthgas.grid import DegenerateDensityError, normalized
 from wealthgas.verify import random_density, random_pdf
 
@@ -470,10 +469,10 @@ def test_ode_residual_derivative_by_quadrature():
 def test_derivative_at_zero_exponential():
     y = matched_exponential(GRID, 1.0)
     # y ~ e^-x so the m-th derivative at 0 is (-1)^m
-    for m, d in enumerate(derivatives_at_zero(y)):
+    for m, d in enumerate(extrapolated_to_zero(derivative_chain(y))):
         assert d == pytest.approx((-1.0) ** m, rel=5e-4)
 
 
 def test_derivative_at_zero_rejects_a_coarse_grid():
     with pytest.raises(ValueError, match="grid too coarse for derivative extrapolation"):
-        derivatives_at_zero(expo(make_grid(32, 10.0)))
+        extrapolated_to_zero(derivative_chain(expo(make_grid(32, 10.0))))

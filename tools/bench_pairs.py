@@ -11,8 +11,10 @@ side always runs on a fresher machine.  The summary is written to --out in the
 shape of the repository's `BENCH_*.json` files: per side the seeds, job
 counts and each end-to-end metric's median, quartiles and values; then the
 pairs' wall_s, the change's wins per metric (ties count for neither side),
-the median per-pair wall_s ratio change/parent and the parent's wall_s
-quartile spread.  An existing --out file keeps its other workloads and keys,
+the median per-pair wall_s ratio change/parent, the parent's wall_s
+quartile spread, and per metric the relative change of the medians, signed so
+that positive means worse, with whether it lies beyond the metric's `bound` in
+BENCHMARK.json.  An existing --out file keeps its other workloads and keys,
 so several workloads can be gathered into one file.
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -62,6 +65,17 @@ def _side(runs: list[dict]) -> dict:
     return summary
 
 
+def _median_changes(parent: dict, change: dict) -> dict:
+    """Per metric: how much worse the change's median is than the parent's, relative, against the bound."""
+    out = {}
+    for name, metric in METRICS.items():
+        p, c = parent[name]["median"], change[name]["median"]
+        delta = (p - c) if metric["better"] == "higher" else (c - p)
+        worse = delta / p if p else math.copysign(math.inf, delta) if delta else 0.0
+        out[name] = {"worse_by": worse, "bound": metric["bound"], "beyond_bound": worse > metric["bound"]}
+    return out
+
+
 def summarize(pairs: list[dict]) -> dict:
     """The workload entry of a BENCH file from ``pairs``: dicts with ``seed``, ``first``
     ("parent" or "change") and one ``run_side`` output under each of "parent" and "change"."""
@@ -71,14 +85,15 @@ def summarize(pairs: list[dict]) -> dict:
         wins[name] = sum(sign * (p["change"]["result"]["metrics"][name]["value"]
                                  - p["parent"]["result"]["metrics"][name]["value"]) > 0 for p in pairs)
     walls = [[p[side]["result"]["metrics"]["wall_s"]["value"] for side in ("parent", "change")] for p in pairs]
-    parent = _side([p["parent"] for p in pairs])
+    parent, change = _side([p["parent"] for p in pairs]), _side([p["change"] for p in pairs])
     return {
         "parent": parent,
-        "change": _side([p["change"] for p in pairs]),
+        "change": change,
         "pairs": [{"seed": p["seed"], "first": p["first"], "wall_s": wall} for p, wall in zip(pairs, walls)],
         "change_wins": wins,
         "wall_s_ratio_median": statistics.median(c / p for p, c in walls),
         "parent_wall_s_iqr": parent["wall_s"]["q3"] - parent["wall_s"]["q1"],
+        "median_change": _median_changes(parent, change),
     }
 
 
