@@ -263,9 +263,7 @@ def write_ensemble_csv(path, ens: AgentEnsemble) -> None:
 
 
 def write_histogram_csv(path, hist: HistogramEstimate) -> None:
-    edges = hist.bin_edges.tolist()
-    write_csv(path, ("bin_left", "bin_right", "density"),
-              (edges[:-1], edges[1:], hist.densities.tolist()))
+    write_csv(path, ("bin_left", "bin_right", "density"), (hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities))
 
 
 def write_fit_json(path, ens: AgentEnsemble, fit: ExponentialFit) -> None:

@@ -16,8 +16,9 @@ With this combination the discrete conservation laws are exact up to
 rounding: quad_norm(Ty) = quad_norm(y)^2 and, for unit mass, quad_mean is
 preserved bit-for-bit in practice.  The mass a step pushes past x_max is
 therefore measured, not modelled: it is quad_norm(y)^2 - quad_norm(Ty), which
-reads signed rounding (about +-1e-15) on clean runs.  A density whose last
-sample exceeds 1e-8 of its maximum, start or image, is rejected loudly.
+reads signed rounding (about +-1e-15) on clean runs.  A step maps mass c to
+c^2, so the iteration holds every density, start and image, to mass 1 +- 1e-6
+and to the tail rule values[-1] <= 1e-8 * max.
 """
 
 from __future__ import annotations
@@ -41,18 +42,18 @@ MASS_DEFECT_LIMIT = 1e-6
 
 
 class TruncationHealthError(RuntimeError):
-    """Operator output carries non-negligible weight at the last node."""
+    """A density, an iteration's start or an operator image, carries non-negligible weight at x_max."""
 
 
 class MassDefectError(RuntimeError):
-    """The iteration's start reaches x_max, or its steps lost too much mass past x_max."""
+    """A density of the iteration, its start or an image, has mass off 1 by more than MASS_DEFECT_LIMIT."""
 
 
-def _check_tail(values: np.ndarray, what: str, error: type[RuntimeError]) -> None:
-    """Raise ``error`` unless values[-1] <= TAIL_EPSILON * max(values)."""
+def _check_tail(values: np.ndarray, what: str) -> None:
+    """Raise TruncationHealthError unless values[-1] <= TAIL_EPSILON * max(values)."""
     top = float(values.max())
     if values[-1] > TAIL_EPSILON * top:
-        raise error(
+        raise TruncationHealthError(
             f"{what} at x_max is {values[-1]:.3e} > {TAIL_EPSILON:.0e} * max "
             f"({top:.3e}); the domain truncation is no longer negligible"
         )
@@ -147,7 +148,7 @@ def apply_operator(y: Density) -> Density:
     steps *= 0.5
     np.cumsum(steps[::-1], out=steps[::-1])
     out = np.maximum(A[:n], 0.0)
-    _check_tail(out, "operator output", TruncationHealthError)
+    _check_tail(out, "operator output")
     return Density(grid, out)
 
 
@@ -179,6 +180,14 @@ def matched_exponential(grid: Grid, mean: float) -> Density:
     return target
 
 
+def _check_mass(mass: float, step: int) -> None:
+    """Raise MassDefectError unless |mass - 1| <= MASS_DEFECT_LIMIT."""
+    if not abs(mass - 1.0) <= MASS_DEFECT_LIMIT:
+        raise MassDefectError(f"mass {mass:.17g} at step {step} is off 1 by more than {MASS_DEFECT_LIMIT:.0e}: a "
+                              "step maps mass c to c**2, so its error doubles every step; normalize the start, "
+                              "increase x_max, or run fewer steps")
+
+
 @dataclass(frozen=True)
 class IterationReport:
     """Per-step record of the iteration driver."""
@@ -202,41 +211,33 @@ def iterate_operator(
     unless stopped early) and one report per applied step.  The convergence
     target is the sampled exponential whose discrete mean equals
     quad_mean(y0), the distribution the iteration conserves its mean toward.
-    Each report's ``mass_defect`` is the mass its step pushed past x_max,
-    quad_norm(y)^2 - quad_norm(Ty): exact to rounding, since the operator
-    squares the mass on its doubled domain.  Raises MassDefectError when the
-    start fails the tail rule values[-1] <= 1e-8 * max, or when the defects
-    summed over the run exceed 1e-6: the domain is then too small for the
-    requested run, or, when the start's mass is not 1 (to 1e-12), the mass
-    grew as c -> c**2 per step and the message names it.  A start with no
-    mass raises DegenerateDensityError from quad_mean.
+    Each report's ``mass_defect`` is its own step's loss past x_max,
+    quad_norm(y)^2 - quad_norm(Ty), exact to rounding.  Every density, the
+    start as step 0 and each image, must have quad_norm within 1e-6 of 1, else
+    MassDefectError: a step maps mass c to c**2, so a mass error doubles every
+    step, rounding included.  A start failing the tail rule values[-1] <=
+    1e-8 * max raises TruncationHealthError; one with no mass,
+    DegenerateDensityError from quad_mean.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be positive, got {n_steps}")
     if early_stop_delta is not None and not early_stop_delta > 0.0:
         raise ValueError(f"early_stop_delta must be positive, got {early_stop_delta}")
-    _check_tail(y0.values, "initial density", MassDefectError)
+    _check_tail(y0.values, "initial density")
     target = matched_exponential(y0.grid, quad_mean(y0))
     densities = [y0]
     reports: list[IterationReport] = []
-    y = y0
-    norm = start_mass = quad_norm(y0)
-    lost = 0.0
+    y, norm = y0, quad_norm(y0)
+    _check_mass(norm, 0)
     for step in range(1, n_steps + 1):
         y_next = apply_operator(y)
         norm_next = quad_norm(y_next)
-        defect = norm**2 - norm_next
-        lost += defect
-        if lost > MASS_DEFECT_LIMIT:
-            cause = "increase x_max" if abs(start_mass - 1.0) <= 1e-12 else (
-                f"the start's mass is {start_mass:.17g}, not 1: a step maps mass c to c**2, so it is now "
-                f"{norm_next:.3e} and the defect is rounding, not loss past x_max; normalize the start")
-            raise MassDefectError(f"mass defect {lost:.3e} > {MASS_DEFECT_LIMIT:.0e} at step {step}; {cause}")
+        _check_mass(norm_next, step)
         report = IterationReport(
             step=step,
             norm=norm_next,
             mean=quad_mean(y_next),
-            mass_defect=defect,
+            mass_defect=norm**2 - norm_next,
             dist_to_target=l1_distance(y_next, target),
             step_delta=l1_distance(y_next, y),
         )

@@ -44,13 +44,14 @@ from .evolution import (
     matched_exponential,
 )
 from .families import FamilyKind, FamilySpec, evaluate_family, sample_family, triangle_density
-from .grid import Density, Grid, l1_distance, make_grid, normalized, quad_mean, quad_norm
+from .grid import (DEFAULT_N_POINTS, DOMAIN_MEAN_MULTIPLE, Density, Grid, default_grid, l1_distance, make_grid,
+                   normalized, quad_mean, quad_norm)
 
 
 @dataclass(frozen=True)
 class VerifySettings:
-    n_points: int = 4097
-    x_max: float = 40.0
+    n_points: int = DEFAULT_N_POINTS
+    x_max: float = DOMAIN_MEAN_MULTIPLE
     seed: int = 20240901
 
 
@@ -136,7 +137,7 @@ def check_fixed_points(grid: Grid, rng: np.random.Generator) -> list[PropertyChe
     """Exponentials at three rates, each on its natural domain 40/alpha, are fixed."""
     worst_fp = 0.0
     for a in (0.5, 1.0, 2.0):
-        g = make_grid(grid.n_points, 40.0 / a)
+        g = default_grid(1.0 / a, grid.n_points)
         y = sample_family(FamilySpec(FamilyKind.EXPONENTIAL, alpha=a), g)
         worst_fp = max(worst_fp, l1_distance(apply_operator(y), y))
     return [_check("fixed_point", worst_fp, 1e-9, detail="max L1 self-distance of sampled exponentials")]

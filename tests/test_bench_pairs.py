@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,32 @@ def test_main_alternates_the_first_side_and_keeps_other_workloads(tmp_path, monk
     assert bench["seconds"] == 5.0
     assert [p["first"] for p in bench["workloads"]["iterate"]["pairs"]] == ["parent", "change", "parent"]
     assert bench["workloads"]["iterate"]["change_wins"]["wall_s"] == 3
+
+
+def test_main_keeps_the_pairs_measured_before_a_failed_run(tmp_path, monkeypatch, capsys):
+    # the fifth perfbench process, the first of pair 3, exits 1: pairs 1 and 2 stay in --out
+    calls = []
+
+    def fake_subprocess_run(cmd, cwd, capture_output, text):
+        calls.append(cwd.name)
+        seed = int(cmd[cmd.index("--seed") + 1])
+        if len(calls) == 5:
+            return subprocess.CompletedProcess(cmd, 1, stdout="", stderr="Traceback: gate failed\n")
+        canned = _run(seed, 0.2 if cwd.name == "change" else 0.3)
+        stdout = f"log line\n{json.dumps({'record': canned['record']})}\n{json.dumps(canned['result'])}\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload",
+            "operator", "--seeds", "1", "2", "3", "4", "--seconds", "5", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert calls == ["parent", "change", "change", "parent", "parent"]
+    err = capsys.readouterr().err
+    assert err.startswith("operator seed 3: ") and "exited 1:\nTraceback: gate failed" in err
+    entry = json.loads(out.read_text())["workloads"]["operator"]
+    assert [p["seed"] for p in entry["pairs"]] == [1, 2]
+    assert entry["parent"]["wall_s"]["values"] == [0.3, 0.3]
 
 
 def test_median_change_is_signed_worse_and_read_against_the_bound():

@@ -138,6 +138,25 @@ def test_iterate_initial_with_one_positive_tail_sample(tmp_path, capsys):
     assert "initial density at x_max is 1.000e-03 > 1e-08 * max" in capsys.readouterr().err
 
 
+def test_iterate_stops_where_rounding_breaks_the_mass_rule(tmp_path, capsys):
+    # the default triangle starts at mass 1, but a step maps mass c to c**2, so rounding doubles
+    # every step; by step 35 it is past 1e-6, long before step_delta could fall below 1e-9
+    out = tmp_path / "out"
+    assert run_cli(["iterate", "--steps", "100", "--stop-delta", "1e-9", "--out", out]) == 2
+    assert " at step 35 is off 1 by more than 1e-06" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_iterate_initial_of_half_mass_exits_2(tmp_path, capsys):
+    g = make_grid(401, 40.0)
+    initial = tmp_path / "ic.csv"
+    write_density_csv(initial, Density(g, 0.5 * np.exp(-g.nodes)))
+    out = tmp_path / "out"
+    assert run_cli(["iterate", "--initial", initial, "--out", out]) == 2
+    assert "error: mass 0.50" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_iterate_from_density_file(tmp_path):
     src = tmp_path / "ic"
     assert run_cli(["iterate", "--family", "triangle", "--steps", "1",

@@ -5,11 +5,12 @@ of simple shapes, the closed-form family images, and a direct 2-D adaptive
 quadrature of the double-integral definition of the operator.
 """
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -17,6 +18,7 @@ from wealthgas import (
     Density,
     FamilySpec,
     MassDefectError,
+    TruncationHealthError,
     apply_operator,
     autoconvolve,
     characteristic_function,
@@ -231,8 +233,6 @@ def test_second_moment_mismatch_contracts_by_two_thirds():
 
 def test_tail_health_rejects_fat_domain_overflow():
     # a shape still O(1) at x_max must fail loudly
-    from wealthgas.evolution import TruncationHealthError
-
     g = make_grid(1025, 10.0)
     y = Density(g, np.exp(-0.05 * g.nodes))
     with pytest.raises(TruncationHealthError):
@@ -285,12 +285,11 @@ def test_iterate_triangle_contracts_monotonically():
 
 
 def test_iterate_norm_sequence_of_subunit_mass():
-    # mass 0.5 squares away: 0.25, 0.0625, ... on its way to the zero fixed point
+    # mass 0.5 would square away, 0.25, 0.0625, ..., so the start itself breaks the mass rule and no
+    # step runs; the c -> c**(2**k) law stays checked on apply_operator by verify's norm_trichotomy
     y0 = expo(GRID).scaled(0.5)
-    _, reports = iterate_operator(y0, 3)
-    assert reports[0].norm == pytest.approx(0.25, rel=1e-12)
-    assert reports[1].norm == pytest.approx(0.0625, rel=1e-12)
-    assert reports[2].norm == pytest.approx(0.0625**2, rel=1e-12)
+    with pytest.raises(MassDefectError, match=r"^mass 0\.5 at step 0 is off 1 by more than 1e-06: "):
+        iterate_operator(y0, 3)
 
 
 def test_iterate_rejects_zero_start():
@@ -300,40 +299,88 @@ def test_iterate_rejects_zero_start():
 
 
 def test_iterate_signals_mass_defect():
-    # mean-8 exponential on a domain of 5 means: the start fails the tail rule
+    # mean-8 exponential on a domain of 5 means: the start fails the tail rule every image obeys
     g = make_grid(1025, 40.0)
     y0 = expo(g, alpha=0.125)
-    with pytest.raises(MassDefectError):
+    with pytest.raises(TruncationHealthError, match="^initial density at x_max is "):
         iterate_operator(y0, 1)
 
 
-def test_iterate_signals_mass_defect_at_a_step():
-    # the box at [25, 30] pushes 2.7e-7 of T(y)'s mass past x_max, under the budget
+MASS_RULE_TAIL = (r" is off 1 by more than 1e-06: a step maps mass c to c\*\*2, so its error doubles every step; "
+                  r"normalize the start, increase x_max, or run fewer steps$")
+
+
+def _box_start():
+    # 1e-3 of the mass in a box at [25, 30] of a 40-wide domain: each step pushes some of it past x_max
     g = make_grid(4097, 40.0)
     x = g.nodes
     w = 1e-3
-    y0 = normalized(Density(g, (1 - w) * 2 * np.exp(-2 * x) + w * ((x >= 25) & (x <= 30)) / 5))
-    _, reports = iterate_operator(y0, 3)
-    assert len(reports) == 3
+    return normalized(Density(g, (1 - w) * 2 * np.exp(-2 * x) + w * ((x >= 25) & (x <= 30)) / 5))
+
+
+@contextlib.contextmanager
+def _counting_steps():
+    """Count the operator steps iterate_operator takes: one entry per apply_operator call."""
+    calls = []
+
+    def counting(y):
+        calls.append(y)
+        return apply_operator(y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "apply_operator", counting)
+        yield calls
+
+
+def test_iterate_signals_mass_defect_at_a_step():
+    # the box pushes 2.7e-7 of T(y)'s mass past x_max, and the mass error doubles on top of
+    # each step's own loss: 2.7e-7, 6.2e-7, then 1.25e-6 past the rule at step 3
+    _, reports = iterate_operator(_box_start(), 2)
+    assert len(reports) == 2
     assert reports[0].mass_defect == pytest.approx(2.7276e-7, rel=1e-4)
+    assert 1.0 - reports[1].norm == pytest.approx(6.2071e-7, rel=1e-4)
+    with pytest.raises(MassDefectError, match=r"^mass 0\.9999987\d* at step 3" + MASS_RULE_TAIL):
+        iterate_operator(_box_start(), 3)
     # a box at [600, 700] on [0, 1000] passes the tail rule but loses 3.7e-6 at once
     g = make_grid(65537, 1000.0)
     x = g.nodes
     w = 4e-3
     y0 = normalized(Density(g, (1 - w) * 2 * np.exp(-2 * x) + w * ((x >= 600) & (x <= 700)) / 100))
-    with pytest.raises(MassDefectError, match=r"^mass defect 3\.680e-06 > 1e-06 at step 1; increase x_max$"):
+    with pytest.raises(MassDefectError, match=r"^mass 0\.9999963\d* at step 1" + MASS_RULE_TAIL):
         iterate_operator(y0, 3)
 
 
+def test_iterate_box_start_breaks_the_mass_rule_at_step_3():
+    # the per-step losses sum to 3.6e-7 over ten steps, but the mass error is the sum of
+    # 2**(k - j) d_j and reads 1.6e-4 by step 10; the rule stops the run at step 3
+    with _counting_steps() as calls, pytest.raises(MassDefectError, match=" at step 3 "):
+        iterate_operator(_box_start(), 10)
+    assert len(calls) == 3
+
+
 def test_iterate_names_the_mass_law_for_a_non_unit_start():
-    # a step maps mass c to c**2: from mass 1.5 the rounding of a mass of 1.5**128 passes the
-    # defect budget at step 7, and a larger domain would not help
+    # a step maps mass c to c**2, so a start of mass 1.5 is refused before any step
     y0 = triangle_density(make_grid(4097, 40.0), 1.0).scaled(1.5)
-    with pytest.raises(MassDefectError, match=(
-            r"^mass defect 4\.194e\+06 > 1e-06 at step 7; the start's mass is 1\.5, not 1: a step maps "
-            r"mass c to c\*\*2, so it is now 3\.465e\+22 and the defect is rounding, not loss past x_max; "
-            r"normalize the start$")):
+    with pytest.raises(MassDefectError, match=r"^mass 1\.5 at step 0" + MASS_RULE_TAIL):
         iterate_operator(y0, 10)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(257, 4097), st.floats(30.0, 80.0), st.integers(0, 2**32 - 1),
+       st.floats(1e-6, 0.5, exclude_min=True), st.booleans())
+def test_iterate_holds_every_density_to_unit_mass(n, x_max, seed, off, above):
+    # random grids and mixtures: a start off unit mass by more than 1e-6 raises before any
+    # step; the normalized start runs, and every image stays within 1e-6 of unit mass
+    y = random_pdf(make_grid(n, x_max), np.random.default_rng(seed))
+    scaled = y.scaled(1.0 + off if above else 1.0 - off)
+    assume(abs(quad_norm(scaled) - 1.0) > evolution.MASS_DEFECT_LIMIT)
+    with _counting_steps() as calls, pytest.raises(MassDefectError, match=" at step 0 "):
+        iterate_operator(scaled, 3)
+    assert calls == []
+    densities, reports = iterate_operator(y, 3)
+    assert len(reports) == 3
+    assert all(abs(quad_norm(d) - 1.0) <= evolution.MASS_DEFECT_LIMIT for d in densities)
+    assert all(abs(r.norm - 1.0) <= evolution.MASS_DEFECT_LIMIT for r in reports)
 
 
 def test_iterate_reports_the_exact_mass_defect():

@@ -339,7 +339,7 @@ def _density(draw):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(_density())
-def test_density_template_matches_the_per_cell_formatter(tmp_path_factory, y):
+def test_density_csv_matches_the_per_cell_formatter(tmp_path_factory, y):
     path = tmp_path_factory.mktemp("den") / "d.csv"
     write_density_csv(path, y)
     rows = zip(y.grid.nodes.tolist(), y.values.tolist())

@@ -15,7 +15,9 @@ the median per-pair wall_s ratio change/parent, the parent's wall_s
 quartile spread, and per metric the relative change of the medians, signed so
 that positive means worse, with whether it lies beyond the metric's `bound` in
 BENCHMARK.json.  An existing --out file keeps its other workloads and keys,
-so several workloads can be gathered into one file.
+so several workloads can be gathered into one file.  --out is rewritten after
+every pair, so a run that fails keeps the pairs measured before it: the
+failed run's stderr is printed and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -38,10 +40,15 @@ WHAT = ("End-to-end metrics of perfbench workloads at the parent commit and at a
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in ``checkout``: its result object and detail record."""
+    """One perfbench run in ``checkout``: its result object and detail record.
+
+    Raises RuntimeError, carrying the run's stderr, when the run exits nonzero.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode:
+        raise RuntimeError(f"{' '.join(cmd[1:])} in {checkout} exited {out.returncode}:\n{out.stderr}")
     record_line, result_line = out.stdout.strip().splitlines()[-2:]
     return {"result": json.loads(result_line), "record": json.loads(record_line)["record"]}
 
@@ -111,16 +118,20 @@ def main(argv=None) -> int:
         first = "parent" if k % 2 == 0 else "change"
         order = ("parent", "change") if first == "parent" else ("change", "parent")
         pair = {"seed": seed, "first": first}
-        for side in order:
-            pair[side] = run_side(getattr(args, side), args.workload, seed, args.seconds)
+        try:
+            for side in order:
+                pair[side] = run_side(getattr(args, side), args.workload, seed, args.seconds)
+        except RuntimeError as exc:
+            print(f"{args.workload} seed {seed}: {exc}", file=sys.stderr, flush=True)
+            return 1
         pairs.append(pair)
         walls = [pair[side]["result"]["metrics"]["wall_s"]["value"] for side in ("parent", "change")]
         print(f"{args.workload} seed {seed}: parent {walls[0]:.4f} s, change {walls[1]:.4f} s", flush=True)
-    bench = json.loads(args.out.read_text()) if args.out.exists() else {"what": WHAT}
-    bench["seconds"] = args.seconds
-    bench.setdefault("workloads", {})[args.workload] = summarize(pairs)
-    bench["env"] = {side: pairs[0][side]["record"]["env"] for side in ("parent", "change")}
-    args.out.write_text(json.dumps(bench, indent=1) + "\n")
+        bench = json.loads(args.out.read_text()) if args.out.exists() else {"what": WHAT}
+        bench["seconds"] = args.seconds
+        bench.setdefault("workloads", {})[args.workload] = summarize(pairs)
+        bench["env"] = {side: pairs[0][side]["record"]["env"] for side in ("parent", "change")}
+        args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 
 
