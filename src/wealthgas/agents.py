@@ -60,51 +60,67 @@ def _exchange_waves(money, ii, jj, eps):
     agent's transactions still run in their original order, so every
     update sees the operands, and does the IEEE operations, of the loop.
 
-    Cost per transaction, measured on a 2-core Xeon VM: 60-100 ns at
-    N = 1e5, 130 ns at N = 2e4 and 150-200 ns at N = 1e6, against about
-    0.8-1.4 us for the loop in Python.  Small ensembles pay for it: a
-    window of 64 transactions over few agents needs nearly one pass per
-    transaction.  ``run_transactions`` with 1e5 transactions, the range of
-    three seeds over two sessions (the loop run in the same process):
+    The earliest one is found by stamped keys: each pass raises ``stamp`` by
+    ``width + 1`` and gives the transaction at window position ``pos`` the
+    key ``stamp - pos``; ``np.maximum.at`` leaves each agent the key of its
+    earliest transaction in the pass.  A key from an earlier pass is at most
+    the earlier stamp, below every key of this pass, so no key is ever
+    reset; a call's stamps stay at most ``(width + 1) * len(ii)``.  Rows are
+    selected by ``nonzero`` indices, not boolean masks; on short arrays
+    ``a[idx]`` costs about half of ``a.take(idx)``.
 
-        agents    kernel        loop in Python
-        10        11.5-17.5 us  0.9-1.2 us
-        100       1.8-2.6 us    0.8-0.9 us
-        200       1.7-2.9 us    0.9-1.2 us
-        300       1.1-1.5 us    0.9-1.0 us
-        1000      0.6-1.0 us    0.7-1.0 us
+    Cost per transaction, measured on a 2-core Xeon VM.  The kernel and the
+    masked kernel with per-pass resets that it replaced ran alternately on
+    the same draws in one process (1e4-5e4 transactions below 1e5 agents,
+    1e6 at 1e5 and 1e6): medians, and the median and quartiles of the
+    per-round ratio.  The loop in Python, over numpy arrays, ran in
+    ``run_transactions`` with its draws.
 
-    Below about 1000 agents the kernel is the slower one.  At these sizes a
-    whole ``simulate`` of 1e5 transactions still ends in under 2 s, and
-    one kernel keeps one code path; a size-selected scalar loop is not
-    worth a second one.
+        agents  kernel   masked   ratio              wins    loop in Python
+        10      4.46 us  4.78 us  0.94 (0.89-0.96)   18/21   0.50 us
+        100     1.03 us  1.12 us  0.91 (0.87-0.99)   12/15   0.76 us
+        1000    385 ns   400 ns   0.93 (0.92-0.98)   12/15   0.86 us
+        1e5     39 ns    54 ns    0.73 (0.68-0.79)   9/9     0.90 us
+        1e6     54 ns    76 ns    0.69 (0.66-0.75)   9/9     0.75 us
+
+    Small ensembles pay for the waves: a window of 64 transactions over few
+    agents needs nearly one pass per transaction.  Below a few hundred agents
+    the kernel is slower than the loop.  At these sizes a whole ``simulate``
+    of 1e5 transactions still ends in under 2 s, and one kernel keeps one
+    code path; a size-selected scalar loop is not worth a second one.
     """
     n = money.shape[0]
     width = max(64, n // 16)
-    first = np.full(n, width)  # earliest remaining position per agent
+    key = np.zeros(n, np.int64)  # per agent: its earliest key in the latest pass that touched it
+    stamp = 0
     for start in range(0, ii.shape[0], width):
         i_w = ii[start:start + width]
         j_w = jj[start:start + width]
         e_w = eps[start:start + width]
         pos = np.arange(i_w.shape[0])
         while pos.shape[0]:
+            stamp += width + 1
+            mine = stamp - pos
             # ufunc.at is defined for repeated indices; fancy assignment is not
-            np.minimum.at(first, i_w, pos)
-            np.minimum.at(first, j_w, pos)
-            take = (first[i_w] == pos) & (first[j_w] == pos)
-            first[i_w] = width
-            first[j_w] = width
-            i, j, e = i_w[take], j_w[take], e_w[take]
+            np.maximum.at(key, i_w, mine)
+            np.maximum.at(key, j_w, mine)
+            take = (key[i_w] == mine) & (key[j_w] == mine)
+            now = take.nonzero()[0]
+            i, j, e = i_w[now], j_w[now], e_w[now]
             s = money[i] + money[j]
             money[i] = e * s
             money[j] = (1.0 - e) * s
-            keep = ~take
-            i_w, j_w, e_w, pos = i_w[keep], j_w[keep], e_w[keep], pos[keep]
+            rest = (~take).nonzero()[0]
+            i_w, j_w, e_w, pos = i_w[rest], j_w[rest], e_w[rest], pos[rest]
 
 
 @dataclass
 class AgentEnsemble:
-    """Money vector plus the generator state that evolves it."""
+    """Money vector plus the generator state that evolves it.
+
+    ``money`` must hold at least 2 finite, nonnegative balances whose total
+    is finite; anything else raises ValueError.
+    """
 
     money: np.ndarray
     rng_seed: int
@@ -114,6 +130,15 @@ class AgentEnsemble:
 
     def __post_init__(self):
         self.money = np.ascontiguousarray(self.money, dtype=np.float64)
+        if self.money.ndim != 1 or self.money.shape[0] < 2:
+            raise ValueError(f"need at least 2 agents in a 1-D money array, got shape {self.money.shape}")
+        bad = np.flatnonzero(~np.isfinite(self.money) | (self.money < 0.0))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"money must be finite and nonnegative, got {self.money[k]} at agent {k}")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(self.money.sum()):
+                raise ValueError("total money overflows")
         if self._rng is None:
             self._rng = np.random.default_rng(np.random.PCG64(self.rng_seed))
         self.initial_total = self.total
@@ -186,7 +211,7 @@ def run_transactions(ens: AgentEnsemble, count: int) -> AgentEnsemble:
         c = min(_CHUNK, count - done)
         ii = rng.integers(0, n, size=c)
         jj = rng.integers(0, n - 1, size=c)
-        jj = jj + (jj >= ii)
+        jj += jj >= ii
         eps = rng.random(size=c)
         zero = eps == 0.0
         while zero.any():  # eps is drawn on the open interval (0, 1)
@@ -245,8 +270,6 @@ def fit_exponential(ens: AgentEnsemble) -> ExponentialFit:
     exponential CDF; for a point mass at m = 1 against rate 1 this evaluates
     to exactly e^{-1}.
     """
-    if ens.n_agents < 2:
-        raise ValueError("fit needs at least 2 agents")
     mean = ens.mean_money
     if mean <= 0.0:
         raise ValueError("degenerate ensemble: zero total money")

@@ -94,6 +94,33 @@ def test_total_is_the_sum_of_the_money():
     assert ens.initial_total == 3.0
 
 
+@pytest.mark.parametrize("money, message", [
+    ([], r"need at least 2 agents in a 1-D money array, got shape \(0,\)"),
+    ([1.0], r"need at least 2 agents in a 1-D money array, got shape \(1,\)"),
+    ([[1.0, 2.0]], r"need at least 2 agents in a 1-D money array, got shape \(1, 2\)"),
+], ids=["no_agents", "one_agent", "two_dimensional"])
+def test_ensemble_rejects_fewer_than_two_agents(money, message):
+    # run_transactions would die in numpy's integers(0, 0) with "high <= 0"
+    with pytest.raises(ValueError, match=message):
+        AgentEnsemble(money=np.array(money), rng_seed=0)
+
+
+@pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+def test_ensemble_rejects_a_non_finite_balance(bad, shown):
+    # a NaN balance would spread to every agent it trades with
+    with pytest.raises(ValueError, match=f"money must be finite and nonnegative, got {shown} at agent 2"):
+        AgentEnsemble(money=np.array([1.0, 2.0, bad, 1.0]), rng_seed=0)
+
+
+def test_ensemble_rejects_a_negative_balance_and_an_overflowing_total():
+    # [1, -3] would keep trading negative balances
+    with pytest.raises(ValueError, match="money must be finite and nonnegative, got -3.0 at agent 1"):
+        AgentEnsemble(money=np.array([1.0, -3.0]), rng_seed=0)
+    with pytest.raises(ValueError, match="total money overflows"):
+        AgentEnsemble(money=np.array([1e308, 1e308]), rng_seed=0)
+    assert AgentEnsemble(money=np.array([0.0, -0.0]), rng_seed=0).total == 0.0
+
+
 def test_init_from_zero_density_rejected():
     from wealthgas import Density
 
@@ -165,6 +192,7 @@ def test_money_stays_nonnegative():
         (17, (4321,)),
         (1000, (777, 20_003)),  # two calls on one ensemble
         (100_000, (_CHUNK + 4097,)),  # crosses a draw chunk
+        (64, (100_003,)),  # one window per 64 transactions, and deep passes
     ],
 )
 def test_run_transactions_matches_sequential_loop(n, counts):
@@ -332,7 +360,8 @@ def test_run_transactions_rejects_a_nonpositive_count():
 
 
 def test_fit_rejects_one_agent_and_zero_money():
-    with pytest.raises(ValueError, match="fit needs at least 2 agents"):
+    # an ensemble of one agent can no longer be built, so the fit never sees one
+    with pytest.raises(ValueError, match="need at least 2 agents"):
         fit_exponential(AgentEnsemble(money=np.ones(1), rng_seed=0))
     with pytest.raises(ValueError, match="degenerate ensemble: zero total money"):
         fit_exponential(AgentEnsemble(money=np.zeros(5), rng_seed=0))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import statistics
 import subprocess
 from pathlib import Path
@@ -50,6 +51,25 @@ def test_summary_of_canned_pairs():
         "seeds": [1, 2, 3, 20261017], "runs": 4, "jobs_attempted": 160, "jobs_failed": 0, "reference_checked": True}
     assert (s["change"]["jobs_attempted"], s["change"]["jobs_failed"]) == (200, 1)
     assert s["change"]["ok_frac"]["median"] == 1.0 and s["change"]["ok_frac"]["q1"] < 1.0
+    # 2 wins of 4 pairs is under 0.9 of them, though the medians differ by more than the IQR
+    assert s["claim"] == {"pairs": 4, "wall_s_wins": 2, "wall_s_median_delta": pytest.approx(-0.04),
+                          "parent_wall_s_iqr": pytest.approx(q3 - q1), "met": False}
+
+
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_median_gap_beyond_the_iqr():
+    def claim(walls):
+        pairs = [{"seed": k, "first": "parent", "parent": _run(k, p), "change": _run(k, c)}
+                 for k, (p, c) in enumerate(walls)]
+        return bench_pairs.summarize(pairs)["claim"]
+
+    steady = [(0.30 + 0.001 * k, 0.20 + 0.001 * k) for k in range(10)]
+    assert claim(steady)["met"] and claim(steady)["wall_s_wins"] == 10
+    # 9 of 10 wins meet the rule, 8 of 10 do not
+    assert claim(steady[:9] + [(0.20, 0.30)])["met"]
+    assert not claim(steady[:8] + [(0.20, 0.30)] * 2)["met"]
+    # every pair won, but by less than the parent's own spread
+    spread = [(0.10 + 0.02 * k, 0.099 + 0.02 * k) for k in range(10)]
+    assert claim(spread)["wall_s_wins"] == 10 and not claim(spread)["met"]
 
 
 def test_main_alternates_the_first_side_and_keeps_other_workloads(tmp_path, monkeypatch):
@@ -77,7 +97,9 @@ def test_main_keeps_the_pairs_measured_before_a_failed_run(tmp_path, monkeypatch
     # the fifth perfbench process, the first of pair 3, exits 1: pairs 1 and 2 stay in --out
     calls = []
 
-    def fake_subprocess_run(cmd, cwd, capture_output, text):
+    def fake_subprocess_run(cmd, cwd, capture_output, text, env):
+        # each side runs as the benchmark does, without writing bytecode
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and env.get("PATH") == os.environ.get("PATH")
         calls.append(cwd.name)
         seed = int(cmd[cmd.index("--seed") + 1])
         if len(calls) == 5:

@@ -50,6 +50,7 @@ from wealthgas.grid import (
     DENSITY_CSV_HEADER,
     Density,
     _float_cells,
+    _text_cells,
     default_grid,
     make_grid,
     map_on_cores,
@@ -411,6 +412,36 @@ def test_float_cells_match_python_on_exact_halfway_cases():
 def test_float_cells_match_python_on_special_values():
     _assert_cells_match_python([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
                                 1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan])
+
+
+def _text_rows(cells) -> list[bytes]:
+    return [row.tobytes().replace(b"\0", b"") for row in cells]
+
+
+_INT_EDGES = (0, 9, 10, 9999, 10000, 10**8, 10**16 - 1, 10**16, 2**63 - 1)
+_ints = st.one_of(st.sampled_from(_INT_EDGES + tuple(-v for v in _INT_EDGES)),
+                  st.integers(-(2**63) + 1, 2**63 - 1))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(_ints, min_size=1, max_size=40), _ints, st.integers(1, 60),
+       st.integers(-(10**17), 10**17).filter(bool))
+def test_text_cells_of_integer_columns_match_str(values, start, length, step):
+    # the digit layout covers magnitudes below 10^16; anything else takes str(), cell for cell the same
+    column = np.array(values, np.int64)
+    assert _text_rows(_text_cells(column)) == [str(v).encode() for v in values]
+    ids = range(start, start + length * step, step)
+    assert _text_rows(_text_cells(ids)) == [str(v).encode() for v in ids]
+
+
+def test_text_cells_of_the_id_column_and_other_integer_columns():
+    assert _text_rows(_text_cells(range(100_000))) == [str(v).encode() for v in range(100_000)]
+    edges = np.array([2**64 - 1, 10**16 - 1, 0], np.uint64)
+    assert _text_rows(_text_cells(edges)) == [b"18446744073709551615", b"9999999999999999", b"0"]
+    assert _text_rows(_text_cells(np.array([-128, 0, 127], np.int8))) == [b"-128", b"0", b"127"]
+    assert _text_rows(_text_cells(range(-(2**63) - 1, -(2**63) + 2))) == [
+        b"-9223372036854775809", b"-9223372036854775808", b"-9223372036854775807"]
+    assert _text_rows(_text_cells(np.array([True, False]))) == [b"True", b"False"]
 
 
 def test_iterated_densities_and_an_ensemble_never_need_the_fallback(tmp_path, monkeypatch):

@@ -5,7 +5,8 @@
 
 DIR is a source checkout of each side (a `git clone` or `git archive` of a
 commit).  For each seed, both sides run `perfbench/run.py --workload W --seed S
---seconds S --trace 0` from their own DIR, one after the other; pair k starts
+--seconds S --trace 0` from their own DIR with PYTHONDONTWRITEBYTECODE=1, as
+the benchmark runs it, one after the other; pair k starts
 with the parent when k is even and with the change when k is odd, so neither
 side always runs on a fresher machine.  The summary is written to --out in the
 shape of the repository's `BENCH_*.json` files: per side the seeds, job
@@ -14,8 +15,11 @@ pairs' wall_s, the change's wins per metric (ties count for neither side),
 the median per-pair wall_s ratio change/parent, the parent's wall_s
 quartile spread, and per metric the relative change of the medians, signed so
 that positive means worse, with whether it lies beyond the metric's `bound` in
-BENCHMARK.json.  An existing --out file keeps its other workloads and keys,
-so several workloads can be gathered into one file.  --out is rewritten after
+BENCHMARK.json.  Its `claim` block reads the wall_s gain rule: the change's
+wins over the pairs run, the median difference change - parent, the parent's
+quartile spread, and `met`, true when the wins are at least 0.9 of the pairs
+and |median difference| exceeds that spread.  An existing --out file keeps its
+other workloads and keys, so several workloads can be gathered into one file.  --out is rewritten after
 every pair, so a run that fails keeps the pairs measured before it: the
 failed run's stderr is printed and the exit code is 1.
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -46,7 +51,8 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     if out.returncode:
         raise RuntimeError(f"{' '.join(cmd[1:])} in {checkout} exited {out.returncode}:\n{out.stderr}")
     record_line, result_line = out.stdout.strip().splitlines()[-2:]
@@ -93,14 +99,18 @@ def summarize(pairs: list[dict]) -> dict:
                                  - p["parent"]["result"]["metrics"][name]["value"]) > 0 for p in pairs)
     walls = [[p[side]["result"]["metrics"]["wall_s"]["value"] for side in ("parent", "change")] for p in pairs]
     parent, change = _side([p["parent"] for p in pairs]), _side([p["change"] for p in pairs])
+    iqr = parent["wall_s"]["q3"] - parent["wall_s"]["q1"]
+    delta = change["wall_s"]["median"] - parent["wall_s"]["median"]
     return {
         "parent": parent,
         "change": change,
         "pairs": [{"seed": p["seed"], "first": p["first"], "wall_s": wall} for p, wall in zip(pairs, walls)],
         "change_wins": wins,
         "wall_s_ratio_median": statistics.median(c / p for p, c in walls),
-        "parent_wall_s_iqr": parent["wall_s"]["q3"] - parent["wall_s"]["q1"],
+        "parent_wall_s_iqr": iqr,
         "median_change": _median_changes(parent, change),
+        "claim": {"pairs": len(pairs), "wall_s_wins": wins["wall_s"], "wall_s_median_delta": delta,
+                  "parent_wall_s_iqr": iqr, "met": wins["wall_s"] >= 0.9 * len(pairs) and abs(delta) > iqr},
     }
 
 
