@@ -91,7 +91,7 @@ def _exchange_waves(money, ii, jj, eps):
     """
     n = money.shape[0]
     width = max(64, n // 16)
-    key = np.zeros(n, np.int64)  # per agent: its earliest key in the latest pass that touched it
+    key = np.zeros(n, np.int64)  # the key of each agent's earliest transaction in the last pass touching it
     stamp = 0
     for start in range(0, ii.shape[0], width):
         i_w = ii[start:start + width]
