@@ -69,19 +69,16 @@ def _exchange_waves(money, ii, jj, eps):
     selected by ``nonzero`` indices, not boolean masks; on short arrays
     ``a[idx]`` costs about half of ``a.take(idx)``.
 
-    Cost per transaction, measured on a 2-core Xeon VM.  The kernel and the
-    masked kernel with per-pass resets that it replaced ran alternately on
-    the same draws in one process (1e4-5e4 transactions below 1e5 agents,
-    1e6 at 1e5 and 1e6): medians, and the median and quartiles of the
-    per-round ratio.  The loop in Python, over numpy arrays, ran in
-    ``run_transactions`` with its draws.
+    Cost per transaction, medians measured on a 2-core Xeon VM (1e4-5e4
+    transactions below 1e5 agents, 1e6 at 1e5 and 1e6).  The loop in Python,
+    over numpy arrays, ran in ``run_transactions`` with its draws.
 
-        agents  kernel   masked   ratio              wins    loop in Python
-        10      4.46 us  4.78 us  0.94 (0.89-0.96)   18/21   0.50 us
-        100     1.03 us  1.12 us  0.91 (0.87-0.99)   12/15   0.76 us
-        1000    385 ns   400 ns   0.93 (0.92-0.98)   12/15   0.86 us
-        1e5     39 ns    54 ns    0.73 (0.68-0.79)   9/9     0.90 us
-        1e6     54 ns    76 ns    0.69 (0.66-0.75)   9/9     0.75 us
+        agents  kernel   loop in Python
+        10      4.46 us  0.50 us
+        100     1.03 us  0.76 us
+        1000    385 ns   0.86 us
+        1e5     39 ns    0.90 us
+        1e6     54 ns    0.75 us
 
     Small ensembles pay for the waves: a window of 64 transactions over few
     agents needs nearly one pass per transaction.  Below a few hundred agents

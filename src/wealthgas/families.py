@@ -41,6 +41,9 @@ from .specialfn import exp_integral_e1_array
 
 # outside input stops at order n = 40, whose step sums 2n + 1 = 81 terms
 _MAX_N = 40
+# mix rates nearer than this, relative to the larger, cancel in ab/(a-b) (E1(bx) - E1(ax)) to about
+# 1e-16 max(a, b)/|a-b|: an oracle_l1_gap of 9.7e-11 at rates 1 and 1 + 1.01e-6, N = 4097
+_MIX_MIN_GAP = 1e-6
 
 
 class FamilyKind(str, Enum):
@@ -80,8 +83,10 @@ class FamilySpec:
         if self.kind is FamilyKind.TWO_EXP_MIX:
             if self.beta is None or not 0.0 < self.beta < math.inf:
                 raise ValueError(f"beta must be positive and finite, got {self.beta}")
-            if self.beta == self.alpha:
-                raise ValueError("mix requires alpha != beta (closed form divides by alpha-beta)")
+            if abs(self.alpha - self.beta) <= _MIX_MIN_GAP * max(self.alpha, self.beta):
+                raise ValueError(f"mix needs |alpha - beta| > {_MIX_MIN_GAP:g} * max(alpha, beta), got alpha="
+                                 f"{self.alpha!r}, beta={self.beta!r}: nearer rates cancel in the closed form, "
+                                 "which divides by alpha - beta; for equal rates take the exponential family")
         else:
             object.__setattr__(self, "beta", None)
         if self.kind is FamilyKind.EPSILON_MIX:
@@ -170,6 +175,8 @@ def triangle_density(grid: Grid, mean: float = 1.0) -> Density:
         raise ValueError(f"mean must be positive, got {mean}")
     if grid.x_max <= 2.0 * mean:
         raise ValueError("grid must extend beyond the triangle support [0, 2*mean]")
+    if not grid.x_max / mean / mean < math.inf:  # np.where below takes both slopes at every node
+        raise ValueError(f"mean {mean} is too small for this grid: the triangle's slope x/mean^2 overflows")
     x = grid.nodes
     vals = np.where(
         x <= mean, x / mean / mean, np.where(x <= 2.0 * mean, (2.0 * mean - x) / mean / mean, 0.0)

@@ -12,19 +12,14 @@ past x_max follows exactly from those laws, is reported as ``mass_defect``
 and is never folded back into the density.
 
 The module also owns every output file's format: ``write_csv``, whose float cells come from
-``_float_cells``, an exact vectorized %.17g, and ``write_json``; and ``map_on_cores``,
-which forks on Linux while one thread runs and reruns the serial loop if a share fails.
+``_float_cells``, an exact vectorized %.17g, ``write_density_csv`` and ``write_json``.  It
+starts no process; which calls share the cores is the command line's choice (``cli``).
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
-import pickle
-import sys
-import tempfile
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +80,12 @@ def make_grid(n_points: int, x_max: float) -> Grid:
 def default_grid(mean: float = 1.0, n_points: int = DEFAULT_N_POINTS) -> Grid:
     """Default grid for densities of a given mean: x_max = 40*mean.
 
-    An exponential with that mean carries less than 1e-17 of its mass
-    beyond the truncation point, far below every test tolerance.
+    An exponential with that mean carries less than 1e-17 of its mass beyond the
+    truncation point, far below every test tolerance.  A mean that is not positive,
+    or whose 40*mean overflows, raises ValueError naming the mean.
     """
+    if not 0.0 < DOMAIN_MEAN_MULTIPLE * mean < np.inf:
+        raise ValueError(f"mean must be positive with {DOMAIN_MEAN_MULTIPLE:g} * mean finite, got {mean}")
     return make_grid(n_points, DOMAIN_MEAN_MULTIPLE * mean)
 
 
@@ -272,20 +270,16 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
 def _text_cells(column) -> np.ndarray:
     """``str()`` of every cell, UTF-8 encoded, as the rows of a NUL-padded uint8 matrix.
 
-    A ``range`` whose start, stop and step, or an integer array whose cells, lie within
-    ±(10^16 - 1) is laid out from the formatter's 4-digit group text: a sign byte or NUL, then
-    16 digits with the leading zeros as NUL.  The ids of 1e5 agents take 4.8 ms so, in 4096-row
-    blocks, against 17 ms through ``str()`` (medians of 15, 2-core Xeon VM).  Every other column
-    goes through ``str()``.
+    A ``range`` whose start, stop and step lie within ±(10^16 - 1), such as an ensemble's ids,
+    is laid out from the formatter's 4-digit group text: a sign byte or NUL, then 16 digits with
+    the leading zeros as NUL.  The ids of 1e5 agents take 4.8 ms so, in 4096-row blocks, against
+    17 ms through ``str()`` (medians of 15, 2-core Xeon VM).  Every other column, integer arrays
+    included, goes through ``str()``.
     """
-    if isinstance(column, range) and max(map(abs, (column.start, column.stop, column.step))) < 10**16:
-        ints = np.arange(column.start, column.stop, column.step)
-    elif (isinstance(column, np.ndarray) and column.dtype.kind in "iu" and column.size
-          and -10**16 < column.min() and column.max() < 10**16):
-        ints = column.astype(np.int64)
-    else:
+    if not (isinstance(column, range) and max(map(abs, (column.start, column.stop, column.step))) < 10**16):
         text = np.array([str(c).encode() for c in column], np.bytes_)
         return text.view(np.uint8).reshape(len(text), text.itemsize)
+    ints = np.arange(column.start, column.stop, column.step)
     _, _, _, group_text, *_, id_masks = _cell_tables()
     magnitude = np.abs(ints)
     words = np.empty((len(ints), 5), np.uint32)  # three NULs and a sign or NUL, then 16 digits
@@ -364,56 +358,6 @@ def write_density_csv(path, y: Density) -> None:
     nodes = _node_cells(y.grid)
     _write_table(path, DENSITY_CSV_HEADER, y.grid.n_points,
                  lambda rows: [nodes[rows], _float_cells(y.values[rows])])
-
-
-def map_on_cores(fn, items) -> list:
-    """``[fn(x) for x in items]``, the items of the sequence shared among the usable cores.
-
-    On Linux while one Python thread runs, k = min(items, usable cores) processes
-    work, process c on items c, c+k, ...: each child pickles its results into a
-    temporary file, and the parent reaps every child.  A fork costs about 2.5 ms.
-    If any share fails, the serial loop runs again from item 0, so the error is the
-    serial loop's first and ``fn`` must be safe to run twice.  Tracers see the parent's calls.
-    """
-    forkable = sys.platform == "linux" and threading.active_count() == 1
-    k = min(len(items), len(os.sched_getaffinity(0))) if items and forkable else 1
-    pids, shares = [], []
-    for c in range(1, k):
-        try:
-            shares.append(tempfile.TemporaryFile())
-            pids.append(os.fork())
-        except OSError:
-            break
-        if pids[-1] == 0:
-            try:
-                pickle.dump([fn(x) for x in items[c::k]], shares[-1])
-                shares[-1].flush()
-                os._exit(0)
-            finally:
-                os._exit(1)
-    results, failed = [None] * len(items), False
-    try:
-        for c in [0, *range(len(pids) + 1, k)]:
-            results[c::k] = [fn(x) for x in items[c::k]]
-    except Exception:
-        failed = True
-    finally:
-        failed |= any([os.waitpid(pid, 0)[1] for pid in pids])
-        for c, share in enumerate(shares, 1):
-            with share:
-                if not failed and c <= len(pids):
-                    share.seek(0)
-                    results[c::k] = pickle.load(share)
-    return [fn(x) for x in items] if failed else results
-
-
-def write_density_csvs(paths, densities) -> None:
-    """Each density to its path by ``write_density_csv``, through ``map_on_cores``: forked on
-    Linux while one Python thread runs (2.5 ms a fork); a failed share reruns the serial loop."""
-    jobs = list(zip(paths, densities, strict=True))
-    if jobs:  # before any fork, so every process shares the node cells and the tables
-        _node_cells(jobs[0][1].grid)
-    map_on_cores(lambda job: write_density_csv(*job), jobs)
 
 
 def read_density_csv(path) -> Density:

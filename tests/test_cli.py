@@ -128,6 +128,44 @@ def test_iterate_rejects_an_infinite_rate(tmp_path, capsys, option):
     assert not out.exists()
 
 
+_DEFAULT_GRID_MEAN = "mean must be positive with 40 * mean finite, got "
+_TRIANGLE_SLOPE = " is too small for this grid: the triangle's slope x/mean^2 overflows"
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--family", "triangle", "--mean", "-1"], _DEFAULT_GRID_MEAN + "-1.0"),
+    (["--family", "triangle", "--mean", "0"], _DEFAULT_GRID_MEAN + "0.0"),
+    (["--family", "triangle", "--mean", "inf"], _DEFAULT_GRID_MEAN + "inf"),
+    (["--family", "triangle", "--mean", "nan"], _DEFAULT_GRID_MEAN + "nan"),
+    (["--family", "triangle", "--mean", "1e307"], _DEFAULT_GRID_MEAN + "1e+307"),
+    (["--family", "exponential", "--alpha", "1e-310"], _DEFAULT_GRID_MEAN + "inf"),
+    (["--family", "mix", "--beta", "1e-310"], _DEFAULT_GRID_MEAN + "inf"),
+    (["--family", "triangle", "--mean", "1e-308"], "mean 1e-308" + _TRIANGLE_SLOPE),
+    (["--family", "triangle", "--mean", "1e-320"], "mean 1e-320" + _TRIANGLE_SLOPE),
+], ids=["negative", "zero", "inf", "nan", "huge", "exponential_tiny_rate", "mix_tiny_rate",
+        "tiny", "subnormal"])
+def test_iterate_start_out_of_the_default_grids_range_exits_2(tmp_path, capsys, option, message):
+    # no --x-max was given, so the message names the mean; no numpy warning on the way (the suite
+    # makes warnings errors)
+    out = tmp_path / "out"
+    assert run_cli(["iterate", *option, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" and "x_max" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["iterate", "families"])
+@pytest.mark.parametrize("beta", ["1.0000001", "1.0000000000001"])
+def test_mix_of_nearly_equal_rates_exits_2(tmp_path, capsys, subcommand, beta):
+    # the closed form would cancel to an oracle_l1_gap of 1e-9 and 8e-4 here
+    out = tmp_path / "out"
+    assert run_cli([subcommand, "--family", "mix", "--alpha", "1", "--beta", beta, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mix needs |alpha - beta| > 1e-06 * max(alpha, beta)")
+    assert "exponential family" in err
+    assert not out.exists()
+
+
 def test_iterate_initial_with_one_positive_tail_sample(tmp_path, capsys):
     g = make_grid(401, 40.0)
     values = np.where(g.nodes < 35.0, np.exp(-g.nodes), 0.0)

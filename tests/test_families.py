@@ -84,6 +84,10 @@ def test_spec_validation():
             FamilySpec("gamma", alpha=1.0, n=n)
     with pytest.raises(ValueError):
         FamilySpec("mix", alpha=1.0, beta=1.0)
+    for gap in (1e-7, 1e-13):  # the cross term would cancel to errors near 1e-9 and 8e-4
+        for alpha, beta in ((1.0, 1.0 + gap), (1.0 + gap, 1.0)):
+            with pytest.raises(ValueError, match=r"mix needs \|alpha - beta\| > 1e-06 \* max\(alpha, beta\)"):
+                FamilySpec("mix", alpha=alpha, beta=beta)
     with pytest.raises(ValueError):
         FamilySpec("mix", alpha=1.0, beta=-2.0)
     with pytest.raises(ValueError):
@@ -142,9 +146,9 @@ def test_family_means_closed_forms():
 
 def test_mix_mean_matches_quadrature():
     # the mix mean is (1/alpha + 1/beta)/2, confirmed by the sampled moment
-    # even for nearly equal rates
-    spec = FamilySpec("mix", alpha=1.0, beta=1.0 + 1e-9)
-    assert family_mean(spec) == pytest.approx(0.5 * (1.0 + 1.0 / (1.0 + 1e-9)), rel=1e-15)
+    # even for rates as near as FamilySpec allows
+    spec = FamilySpec("mix", alpha=1.0, beta=1.0 + 2e-6)
+    assert family_mean(spec) == pytest.approx(0.5 * (1.0 + 1.0 / (1.0 + 2e-6)), rel=1e-15)
     y = sample_family(spec, make_grid(4097, 40.0))
     assert quad_mean(y) == pytest.approx(family_mean(spec), abs=5e-5)
 

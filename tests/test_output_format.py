@@ -5,8 +5,8 @@ The format: a header row, CRLF line ends, floats at 17 significant digits
 keys and a trailing newline.  The other tests compare a run with itself;
 these pin the bytes against literals.  The vectorized float formatter
 ``_float_cells`` is held to Python's ``'%.17g'`` cell by cell, and the
-forked writer and ``map_on_cores`` to the serial loop's results, bytes and
-errors.
+command line's ``map_on_cores``, alone and writing density files, to the
+serial loop's results, bytes and errors.
 """
 
 import errno
@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from wealthgas import __version__, cli
 from wealthgas import grid as grid_module
+from wealthgas.cli import map_on_cores
 from wealthgas.agents import (
     AgentEnsemble,
     ExponentialFit,
@@ -53,11 +54,9 @@ from wealthgas.grid import (
     _text_cells,
     default_grid,
     make_grid,
-    map_on_cores,
     read_density_csv,
     write_csv,
     write_density_csv,
-    write_density_csvs,
 )
 from wealthgas.verify import PropertyCheck
 
@@ -159,7 +158,8 @@ def _serial_bytes(tmp_path, densities) -> list:
 def _write_all(tmp_path, densities) -> list:
     out = tmp_path / "out"
     out.mkdir()
-    write_density_csvs([out / f"{k}.csv" for k in range(len(densities))], densities)
+    jobs = [(out / f"{k}.csv", y) for k, y in enumerate(densities)]
+    map_on_cores(lambda job: write_density_csv(*job), jobs)
     assert sorted(p.name for p in out.iterdir()) == sorted(f"{k}.csv" for k in range(len(densities)))
     return [(out / f"{k}.csv").read_bytes() for k in range(len(densities))]
 
@@ -258,12 +258,21 @@ def test_map_on_cores_matches_the_serial_loop(monkeypatch, count):
 @pytest.mark.parametrize("failing, fail_from", [("fork", 0), ("fork", 1), ("TemporaryFile", 1)],
                          ids=["first_fork", "second_fork", "second_file"])
 def test_map_on_cores_runs_an_unforked_share_in_process(monkeypatch, failing, fail_from):
+    # after a failed fork or temporary file the parent reaps the children forked so far, then
+    # runs every item in order, the unforked shares among them, as the serial loop does
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     files = _count_calls(monkeypatch, fail_from if failing == "TemporaryFile" else None,
                          tempfile, "TemporaryFile")
     forks = _count_calls(monkeypatch, fail_from if failing == "fork" else None)
-    assert map_on_cores(_bulky, list(range(11))) == [_bulky(x) for x in range(11)]
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return _bulky(x)
+
+    assert map_on_cores(fn, list(range(11))) == [_bulky(x) for x in range(11)]
     assert (len(files), len(forks)) == ((fail_from + 1, fail_from + 1) if failing == "fork" else (2, 1))
+    assert calls == list(range(11))
 
 
 def test_map_on_cores_never_forks_beside_a_live_thread(monkeypatch):
@@ -427,7 +436,7 @@ _ints = st.one_of(st.sampled_from(_INT_EDGES + tuple(-v for v in _INT_EDGES)),
 @given(st.lists(_ints, min_size=1, max_size=40), _ints, st.integers(1, 60),
        st.integers(-(10**17), 10**17).filter(bool))
 def test_text_cells_of_integer_columns_match_str(values, start, length, step):
-    # the digit layout covers magnitudes below 10^16; anything else takes str(), cell for cell the same
+    # a range within ±(10^16 - 1) takes the digit layout, an integer array str(): cell for cell the same
     column = np.array(values, np.int64)
     assert _text_rows(_text_cells(column)) == [str(v).encode() for v in values]
     ids = range(start, start + length * step, step)
