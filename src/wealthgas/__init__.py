@@ -7,7 +7,7 @@ Core pieces:
   Fourier-side diagnostics (``evolution``),
 * analytic density families, gamma mixtures whose closed-form first step
   acts on their coefficients (``families``),
-* a self-contained exponential integral E1 (``specialfn``),
+* the mix's cross-rate term as a cancellation-free rate integral (``specialfn``),
 * an agent-based Monte Carlo of pairwise random exchanges (``agents``),
 * the executable property suite behind ``wealthgas verify`` (``verify``).
 """

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    DegenerateDensityError,
     Density,
     Grid,
     l1_distance,
@@ -175,7 +176,8 @@ def matched_exponential(grid: Grid, mean: float) -> Density:
     if not abs(m - mean) <= 1e-12 * mean:
         raise ValueError(
             f"no sampled exponential on [0, {grid.x_max:g}] with {grid.n_points} points "
-            f"found with mean {mean:g}; the rate search ended at mean {m:g}"
+            f"found with mean {mean:g}; the rate search ended at mean {m:.17g}, "
+            f"a relative miss of {abs(m - mean) / mean:.1e} > 1e-12"
         )
     return target
 
@@ -216,15 +218,18 @@ def iterate_operator(
     start as step 0 and each image, must have quad_norm within 1e-6 of 1, else
     MassDefectError: a step maps mass c to c**2, so a mass error doubles every
     step, rounding included.  A start failing the tail rule values[-1] <=
-    1e-8 * max raises TruncationHealthError; one with no mass,
-    DegenerateDensityError from quad_mean.
+    1e-8 * max raises TruncationHealthError; one with no mass, or with all
+    of it at x = 0, DegenerateDensityError.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be positive, got {n_steps}")
     if early_stop_delta is not None and not early_stop_delta > 0.0:
         raise ValueError(f"early_stop_delta must be positive, got {early_stop_delta}")
     _check_tail(y0.values, "initial density")
-    target = matched_exponential(y0.grid, quad_mean(y0))
+    mean = quad_mean(y0)
+    if not mean > 0.0:  # nonnegative values with all the mass at x = 0
+        raise DegenerateDensityError(f"initial density on {y0.grid} has mean 0: its shape falls between the nodes")
+    target = matched_exponential(y0.grid, mean)
     densities = [y0]
     reports: list[IterationReport] = []
     y, norm = y0, quad_norm(y0)

@@ -19,9 +19,9 @@ image of one rate's coefficients is again a coefficient vector,
 
 an exact oracle for the numerical operator.  An order-0 member has
 c = [1.0] exactly, which the step maps to itself bit for bit.  Unequal rates
-meet only in the mix, between two exponentials:
-B(exp_a, exp_b)(x) = ab/(a-b) (E1(b x) - E1(a x)), which tends to
-ab/(a-b) ln(a/b) at x = 0.
+meet only in the mix, between two exponentials, as an integral over the
+rate: B(exp_a, exp_b)(x) = ab integral_b^a e^(-s x)/s ds/(a-b), evaluated
+without cancellation for every pair of positive rates, equal ones included.
 
 Sampled densities are normalized to unit mass under the grid quadrature,
 so sampled fixed points are fixed points of the discrete operator too.
@@ -37,13 +37,12 @@ import numpy as np
 
 from .evolution import apply_operator
 from .grid import Density, Grid, l1_distance, normalized
-from .specialfn import exp_integral_e1_array
+from .specialfn import e1_difference_quotient
 
 # outside input stops at order n = 40, whose step sums 2n + 1 = 81 terms
 _MAX_N = 40
-# mix rates nearer than this, relative to the larger, cancel in ab/(a-b) (E1(bx) - E1(ax)) to about
-# 1e-16 max(a, b)/|a-b|: an oracle_l1_gap of 9.7e-11 at rates 1 and 1 + 1.01e-6, N = 4097
-_MIX_MIN_GAP = 1e-6
+# e^(-r x) rounds to 0 past r x = 745.2; capping r x here keeps it finite, so no 0 * inf
+_RX_CAP = 746.0
 
 
 class FamilyKind(str, Enum):
@@ -83,10 +82,6 @@ class FamilySpec:
         if self.kind is FamilyKind.TWO_EXP_MIX:
             if self.beta is None or not 0.0 < self.beta < math.inf:
                 raise ValueError(f"beta must be positive and finite, got {self.beta}")
-            if abs(self.alpha - self.beta) <= _MIX_MIN_GAP * max(self.alpha, self.beta):
-                raise ValueError(f"mix needs |alpha - beta| > {_MIX_MIN_GAP:g} * max(alpha, beta), got alpha="
-                                 f"{self.alpha!r}, beta={self.beta!r}: nearer rates cancel in the closed form, "
-                                 "which divides by alpha - beta; for equal rates take the exponential family")
         else:
             object.__setattr__(self, "beta", None)
         if self.kind is FamilyKind.EPSILON_MIX:
@@ -115,7 +110,7 @@ def _gamma_sum(rate: float, c: np.ndarray, x: np.ndarray) -> np.ndarray:
     t_0 = r e^(-r x), so no factorial materializes; 0 where e^(-r x) underflows."""
     if np.any(x < 0.0):
         raise ValueError("the closed forms need x >= 0")
-    rx = rate * x
+    rx = rate * np.minimum(x, _RX_CAP / rate)
     term = rate * np.exp(-rx)
     acc = c[0] * term
     for k in range(1, len(c)):
@@ -152,14 +147,10 @@ def closed_form_step_values(spec: FamilySpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     image = sum(_gamma_sum(r, _coefficient_step(c), x) for r, c in _coefficients(spec))
     if spec.kind is FamilyKind.TWO_EXP_MIX:
-        # the cross-rate pair, 2 B(exp_a/2, exp_b/2) = (1/2) ab/(a-b) (E1(b x) - E1(a x)), with
-        # ab/(a-b) formed as a * (b/(a-b)), which neither over- nor underflows
+        # the cross-rate pair, 2 B(exp_a/2, exp_b/2) = (1/2) ab integral_b^a e^(-s x)/s ds/(a - b),
+        # with the rates multiplied in one at a time: a * b over- or underflows at rates near 1e+-200
         a, b = spec.alpha, spec.beta
-        scale = a * (b / (a - b))
-        cross = np.full_like(x, scale * math.log(a / b))  # the removable singularity's value at 0
-        pos = x > 0.0
-        cross[pos] = scale * (exp_integral_e1_array(b * x[pos]) - exp_integral_e1_array(a * x[pos]))
-        image = image + 0.5 * cross
+        image = image + 0.5 * a * (b * e1_difference_quotient(a, b, x))
     return image
 
 
@@ -197,8 +188,10 @@ def contraction_check(spec: FamilySpec, grid: Grid) -> ContractionResult:
 
     The reference is the exponential with rate 1/family_mean(spec).  Every
     order-0 member is its own closed-form image bit for bit, so both
-    distances coincide exactly and contracted is False.  oracle_l1_gap is
-    the L1 distance between apply_operator and the closed-form image.
+    distances coincide exactly and contracted is False.  An equal-rate mix
+    is the exponential too, but its image passes through the rate integral
+    and reads at rounding (d 0 -> 6e-17 at N = 4097), also not contracted.
+    oracle_l1_gap is the L1 distance between apply_operator and the image.
     """
     w = sample_family(FamilySpec(FamilyKind.EXPONENTIAL, alpha=1.0 / family_mean(spec)), grid)
     y = sample_family(spec, grid)

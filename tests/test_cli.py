@@ -154,16 +154,26 @@ def test_iterate_start_out_of_the_default_grids_range_exits_2(tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("subcommand", ["iterate", "families"])
-@pytest.mark.parametrize("beta", ["1.0000001", "1.0000000000001"])
-def test_mix_of_nearly_equal_rates_exits_2(tmp_path, capsys, subcommand, beta):
-    # the closed form would cancel to an oracle_l1_gap of 1e-9 and 8e-4 here
-    out = tmp_path / "out"
-    assert run_cli([subcommand, "--family", "mix", "--alpha", "1", "--beta", beta, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: mix needs |alpha - beta| > 1e-06 * max(alpha, beta)")
-    assert "exponential family" in err
-    assert not out.exists()
+@pytest.mark.parametrize("alpha, beta", [("1", "1.000002"), ("50", "50.0005")])
+def test_mix_of_nearly_equal_rates_contracts(tmp_path, alpha, beta):
+    # the member lies within 1e-11 of its exponential, and the cross term's rate integral leaves no
+    # cancellation to swamp that: one step shrinks the distance, with the oracle at rounding
+    assert run_cli(["families", "--family", "mix", "--alpha", alpha, "--beta", beta, "--out", tmp_path]) == 0
+    (row,) = read_rows(tmp_path / "families.csv")
+    assert row["contracted"] == "true"
+    assert float(row["oracle_l1_gap"]) <= 1e-15
+
+
+def test_iterate_mix_of_equal_rates_is_the_exponential(tmp_path):
+    # (1/2) a e^(-a x) taken twice sums to a e^(-a x) exactly, so only the manifests differ
+    trees = {}
+    for name, start in (("mix", ["--family", "mix", "--beta", "2"]), ("exponential", ["--family", "exponential"])):
+        out = tmp_path / name
+        assert run_cli(["iterate", *start, "--alpha", "2", "--steps", "3", "--n-points", "1025", "--out", out]) == 0
+        trees[name] = read_tree(out)
+        assert trees[name].pop("manifest.json") != b""
+    assert "report.csv" in trees["mix"] and "density_step_003.csv" in trees["mix"]
+    assert trees["mix"] == trees["exponential"]
 
 
 def test_iterate_initial_with_one_positive_tail_sample(tmp_path, capsys):
@@ -329,12 +339,15 @@ def test_families_exponential_is_its_own_image(tmp_path):
     assert float(rows[0]["oracle_l1_gap"]) <= 1e-12
 
 
-@pytest.mark.parametrize("family, scale", [("gamma", 1e-160), ("mix", 1e-200), ("mix", 1e200)])
-def test_families_row_is_scale_free_in_the_rates(tmp_path, family, scale):
+@pytest.mark.parametrize("family, beta, scale", [
+    ("gamma", None, 1e-160), ("mix", 3.0, 1e-200), ("mix", 3.0, 1e200),
+    ("mix", 1.000002, 1e-200), ("mix", 1.000002, 1e200),
+], ids=["gamma-1e-160", "mix-1e-200", "mix-1e+200", "near_mix-1e-200", "near_mix-1e+200"])
+def test_families_row_is_scale_free_in_the_rates(tmp_path, family, beta, scale):
     # every rate times `scale` describes the same member on a dilated axis
     rows = {}
     for c in (1.0, scale):
-        args = ["--n", 1] if family == "gamma" else ["--beta", 3.0 * c]
+        args = ["--n", 1] if family == "gamma" else ["--beta", beta * c]
         rc = run_cli(["families", "--family", family, "--alpha", c, *args,
                       "--n-points", 4097, "--out", tmp_path / str(c)])
         assert rc == 0
@@ -385,6 +398,18 @@ def test_verify_underflowing_domain_exits_2(tmp_path, capsys):
     assert run_cli(["verify", "--x-max", "1e-300", "--n-points", "65", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "x_max=1e-300" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["iterate", "--family", "exponential", "--alpha", "3"], ["verify"]],
+                         ids=["iterate", "verify"])
+def test_overflowing_x_max_exits_2(tmp_path, capsys, args):
+    # rate * x overflows on [0, 1e308]: the shapes fall between the nodes, and the message names the
+    # grid, with no numpy warning on the way (the suite makes warnings errors)
+    out = tmp_path / "out"
+    assert run_cli([*args, "--x-max", "1e308", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Grid(n_points=4097, x_max=1e+308)" in err
     assert not out.exists()
 
 

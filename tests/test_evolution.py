@@ -454,6 +454,12 @@ def test_matched_exponential_rejects_unreachable_mean(mean):
         matched_exponential(GRID, mean)
 
 
+def test_matched_exponential_names_its_miss():
+    # on 20 points the search ends 5.5e-12 off, a miss that :g would print as "mean 1"
+    with pytest.raises(ValueError, match=r"ended at mean 1\.00000000000\d+, a relative miss of 5\.5e-12 > 1e-12"):
+        matched_exponential(make_grid(20, 40.0), 1.0)
+
+
 def test_matched_exponential_rejects_a_nonpositive_mean():
     with pytest.raises(ValueError, match="mean must be positive, got 0.0"):
         matched_exponential(GRID, 0.0)

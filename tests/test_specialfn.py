@@ -1,13 +1,14 @@
-"""Special-function tests with independent scipy/quadrature oracles."""
+"""Special-function tests with independent scipy, quadrature and 40-digit oracles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from wealthgas.families import _gamma_sum
-from wealthgas.specialfn import exp_integral_e1_array
+from wealthgas.specialfn import e1_difference_quotient
 
 
 def Q(s, x):
@@ -66,51 +67,30 @@ def test_upper_gamma_vectorized():
         np.testing.assert_allclose(Q(s, x), special.gammaincc(s, x), rtol=1e-12, atol=1e-300)
 
 
-def test_e1_at_one_against_series_oracle():
-    # oracle: the defining series -gamma - ln x + sum (-1)^(k+1) x^k/(k k!)
-    # summed to machine convergence with fractions of terms
-    x = 1.0
-    acc = -0.5772156649015328606 - math.log(x)
-    term = 1.0
-    for k in range(1, 60):
-        term *= -x / k
-        acc -= term / k
-    e1 = float(exp_integral_e1_array(1.0))
-    assert e1 == pytest.approx(acc, rel=1e-13)
-    assert e1 == pytest.approx(0.21938393439552026, rel=1e-12)
+# the six mix pairs of the lattice; rate ratios 10 to 1e15 either way round; near and equal rates
+_RATE_PAIRS = [(0.5, 1.5), (0.5, 3.0), (1.0, 1.5), (1.0, 3.0), (2.0, 1.5), (2.0, 3.0)]
+_RATE_PAIRS += [pair for ratio in (10.0, 1e2, 1e4, 1e6, 1e10, 1e15) for pair in ((1.0, ratio), (ratio, 1.0))]
+_RATE_PAIRS += [(1.0, 1.0 + 1e-13), (1.0, 1.0 + 1e-7), (50.0, 50.0005), (1e3, 1e3 * (1.0 + 1e-9)), (7.0, 7.0)]
 
 
-def test_e1_scipy_cross_check():
-    xs = np.array([0.01, 0.4, 1.0, 1.5, 1.6, 4.0, 20.0, 50.0])
-    np.testing.assert_allclose(exp_integral_e1_array(xs), special.exp1(xs), rtol=1e-13, atol=0.0)
+def _quotient_40_digits(a, b, x):
+    """(E1(b x) - E1(a x))/(a - b) at the same doubles in 40-digit arithmetic, with its limits."""
+    with mpmath.workdps(40):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+        if a == b:
+            return mpmath.exp(-a * x) / a
+        if x == 0:
+            return mpmath.log(a / b) / (a - b)
+        return (mpmath.e1(b * x) - mpmath.e1(a * x)) / (a - b)
 
 
-def test_e1_leading_asymptotics():
-    x = 50.0
-    assert float(exp_integral_e1_array(x)) * x * math.exp(x) == pytest.approx(1.0, rel=0.02)
-
-
-def test_e1_rejects_nonpositive():
-    # a scalar argument is rejected as well as an array entry
-    with pytest.raises(ValueError):
-        exp_integral_e1_array(0.0)
-    with pytest.raises(ValueError):
-        exp_integral_e1_array(-1.0)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
-def test_e1_array_rejects_nonpositive_and_nan(bad):
-    with pytest.raises(ValueError):
-        exp_integral_e1_array(np.array([0.5, bad, 3.0]))
-
-
-def test_e1_crossover_band_scipy_cross_check():
-    # both sides of the series / continued-fraction switch at x = 1.5
-    xs = np.linspace(1.2, 1.8, 25)
-    np.testing.assert_allclose(exp_integral_e1_array(xs), special.exp1(xs), rtol=1e-13, atol=0.0)
-
-
-def test_e1_array_dense_scipy_cross_check():
-    xs = np.geomspace(1e-4, 700.0, 20001)
-    np.testing.assert_allclose(exp_integral_e1_array(xs), special.exp1(xs), rtol=1e-13, atol=0.0)
-
+@pytest.mark.parametrize("a, b", _RATE_PAIRS)
+def test_e1_difference_quotient_against_a_40_digit_oracle(a, b):
+    # x = 0, 1e-300 and 130 points of [0, 40 * mean]; the worst error measured over these pairs is
+    # 4.1e-15 relative (ratio 1e10), and the bound leaves 100x of margin
+    x = np.concatenate([[1e-300], np.linspace(0.0, 20.0 * (1.0 / a + 1.0 / b), 130)])
+    got = e1_difference_quotient(a, b, x)
+    worst = max(abs(mpmath.mpf(g) / _quotient_40_digits(a, b, v) - 1) for g, v in zip(got.tolist(), x.tolist()))
+    assert worst <= 4e-13
+    # symmetric in the rates, bit for bit
+    assert np.array_equal(e1_difference_quotient(b, a, x), got)
