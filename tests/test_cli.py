@@ -164,6 +164,17 @@ def test_mix_of_nearly_equal_rates_contracts(tmp_path, alpha, beta):
     assert float(row["oracle_l1_gap"]) <= 1e-15
 
 
+@pytest.mark.parametrize("beta", ["1.0000001", "1.0000000000001"])
+def test_iterate_mix_of_nearly_equal_rates_stays_on_the_exponential(tmp_path, beta):
+    # the closed form's cancellation would have read an oracle_l1_gap of 1e-9 and 8e-4 here;
+    # the rate integral keeps every step as near its exponential as the exponential's own run
+    assert run_cli(["iterate", "--family", "mix", "--alpha", "1", "--beta", beta, "--steps", "3",
+                    "--n-points", "1025", "--out", tmp_path]) == 0
+    rows = read_rows(tmp_path / "report.csv")
+    assert len(rows) == 3
+    assert all(float(r["dist_to_target"]) <= 1e-13 for r in rows)
+
+
 def test_iterate_mix_of_equal_rates_is_the_exponential(tmp_path):
     # (1/2) a e^(-a x) taken twice sums to a e^(-a x) exactly, so only the manifests differ
     trees = {}
