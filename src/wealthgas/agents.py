@@ -115,8 +115,9 @@ def _exchange_waves(money, ii, jj, eps):
 class AgentEnsemble:
     """Money vector plus the generator state that evolves it.
 
-    ``money`` must hold at least 2 finite, nonnegative balances whose total
-    is finite; anything else raises ValueError.
+    It owns the four rules on its money, each raising ValueError that names the value: at
+    least 2 agents in a 1-D array, finite nonnegative balances, a finite total, and a
+    positive mean whose rate 1/mean (the fitted beta) is finite.
     """
 
     money: np.ndarray
@@ -136,6 +137,9 @@ class AgentEnsemble:
         with np.errstate(over="ignore"):
             if not math.isfinite(self.money.sum()):
                 raise ValueError("total money overflows")
+        mean = self.mean_money
+        if not (mean > 0.0 and 1.0 / mean < math.inf):
+            raise ValueError(f"mean money must be positive with a finite rate 1/mean, got {mean}")
         if self._rng is None:
             self._rng = np.random.default_rng(np.random.PCG64(self.rng_seed))
         self.initial_total = self.total
@@ -167,9 +171,9 @@ def init_ensemble(
 ) -> AgentEnsemble:
     """Create an ensemble, either all-equal or sampled from a density.
 
-    Density sampling inverts the trapezoid-integrated CDF at uniform draws
-    (piecewise-linear inverse CDF over the grid nodes); a density with no
-    mass raises DegenerateDensityError.
+    Density sampling inverts the trapezoid-integrated CDF at uniform draws (piecewise-linear
+    inverse CDF over the grid nodes); a density with no mass raises DegenerateDensityError.
+    ``AgentEnsemble`` checks the money, so a bad ``equal`` raises its ValueError.
     """
     if n_agents < 2:
         raise ValueError(f"need at least 2 agents, got {n_agents}")
@@ -177,12 +181,6 @@ def init_ensemble(
         raise ValueError("specify exactly one of equal= or from_density=")
     rng = np.random.default_rng(np.random.PCG64(seed))
     if equal is not None:
-        if not 0.0 < equal < math.inf:
-            raise ValueError(f"equal initial money must be positive and finite, got {equal}")
-        if not math.isfinite(n_agents * equal):
-            raise ValueError(f"total money {n_agents} * {equal} overflows")
-        if not math.isfinite(1.0 / equal):
-            raise ValueError(f"equal initial money {equal} is too small: its reciprocal overflows")
         money = np.full(n_agents, float(equal))
     else:
         norm = quad_norm(from_density)
@@ -242,12 +240,15 @@ def histogram(ens: AgentEnsemble, n_bins: int, m_max: float) -> HistogramEstimat
 
     Densities are normalized by the full sample count, so mass that
     overflows m_max shows up as a total below 1 rather than being rescaled.
+    A cut at which a bin holding every agent would overflow raises ValueError.
     """
     check_histogram_args(n_bins, m_max)
     edges = np.linspace(0.0, m_max, n_bins + 1)
+    scale = ens.n_agents * float(edges[1] - edges[0])
+    if not ens.n_agents / scale < math.inf:  # n_bins / m_max may still be finite, within an ulp
+        raise ValueError(f"m_max {m_max} is too small for {n_bins} bins: the bin densities overflow")
     counts, _ = np.histogram(ens.money, bins=edges)
-    width = edges[1] - edges[0]
-    dens = counts / (ens.n_agents * width)
+    dens = counts / scale
     return HistogramEstimate(bin_edges=edges, densities=dens, n_samples=ens.n_agents)
 
 
@@ -261,16 +262,12 @@ class ExponentialFit:
 def fit_exponential(ens: AgentEnsemble) -> ExponentialFit:
     """Rate estimate beta = N / sum(m) plus a KS distance to that exponential.
 
-    beta_hat is the maximum-likelihood rate (the reciprocal sample mean).
-    The KS statistic is sup over the sample points of |ECDF(m) - F(m)| with
-    the right-continuous empirical CDF (ties counted fully), F the fitted
-    exponential CDF; for a point mass at m = 1 against rate 1 this evaluates
-    to exactly e^{-1}.
+    beta_hat is the maximum-likelihood rate (the reciprocal sample mean), finite by
+    ``AgentEnsemble``'s rules.  The KS statistic is sup over the sample points of
+    |ECDF(m) - F(m)| with the right-continuous empirical CDF (ties counted fully), F the
+    fitted exponential CDF; for a point mass at m = 1 against rate 1 it is exactly e^{-1}.
     """
-    mean = ens.mean_money
-    if mean <= 0.0:
-        raise ValueError("degenerate ensemble: zero total money")
-    beta = 1.0 / mean
+    beta = 1.0 / ens.mean_money
     ms = np.sort(ens.money)
     ecdf = np.searchsorted(ms, ms, side="right") / ens.n_agents
     fitted = 1.0 - np.exp(-beta * ms)

@@ -166,9 +166,9 @@ def cmd_iterate(args) -> tuple[int, dict]:
 def cmd_simulate(args) -> tuple[int, dict]:
     out_dir = Path(args.out)
     check_histogram_args(args.bins, args.m_max)
-    if args.m_max is None and 0.0 < args.m0 < math.inf and not 0.0 < args.bins / (10.0 * args.m0) < math.inf:
-        raise ValueError(f"--m0 {args.m0} puts the default histogram cut 10 * m0 out of range for {args.bins} bins")
     ens = init_ensemble(args.agents, equal=args.m0, seed=args.seed)
+    if args.m_max is None and not 0.0 < args.bins / (10.0 * ens.mean_money) < math.inf:
+        raise ValueError(f"--m0 {args.m0} puts the default histogram cut 10 * m0 out of range for {args.bins} bins")
     ens = run_transactions(ens, args.transactions)
     m_max = args.m_max if args.m_max is not None else 10.0 * ens.mean_money
     hist = histogram(ens, args.bins, m_max)

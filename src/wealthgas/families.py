@@ -37,12 +37,10 @@ import numpy as np
 
 from .evolution import apply_operator
 from .grid import Density, Grid, l1_distance, normalized
-from .specialfn import e1_difference_quotient
+from .specialfn import EXP_ZERO_ARG, e1_difference_quotient
 
 # outside input stops at order n = 40, whose step sums 2n + 1 = 81 terms
 _MAX_N = 40
-# e^(-r x) rounds to 0 past r x = 745.2; capping r x here keeps it finite, so no 0 * inf
-_RX_CAP = 746.0
 
 
 class FamilyKind(str, Enum):
@@ -110,7 +108,7 @@ def _gamma_sum(rate: float, c: np.ndarray, x: np.ndarray) -> np.ndarray:
     t_0 = r e^(-r x), so no factorial materializes; 0 where e^(-r x) underflows."""
     if np.any(x < 0.0):
         raise ValueError("the closed forms need x >= 0")
-    rx = rate * np.minimum(x, _RX_CAP / rate)
+    rx = rate * np.minimum(x, EXP_ZERO_ARG / rate)
     term = rate * np.exp(-rx)
     acc = c[0] * term
     for k in range(1, len(c)):
@@ -143,7 +141,7 @@ def family_mean(spec: FamilySpec) -> float:
 
 
 def closed_form_step_values(spec: FamilySpec, x) -> np.ndarray:
-    """Pointwise closed-form image of the family under one operator step."""
+    """Pointwise closed-form image of one operator step, a sum of nonnegative terms, so >= 0."""
     x = np.asarray(x, dtype=np.float64)
     image = sum(_gamma_sum(r, _coefficient_step(c), x) for r, c in _coefficients(spec))
     if spec.kind is FamilyKind.TWO_EXP_MIX:
@@ -156,8 +154,7 @@ def closed_form_step_values(spec: FamilySpec, x) -> np.ndarray:
 
 def closed_form_step(spec: FamilySpec, grid: Grid) -> Density:
     """Closed-form first iterate sampled on the grid, unit quadrature mass."""
-    vals = closed_form_step_values(spec, grid.nodes)
-    return normalized(Density(grid, np.maximum(vals, 0.0)))
+    return normalized(Density(grid, closed_form_step_values(spec, grid.nodes)))
 
 
 def triangle_density(grid: Grid, mean: float = 1.0) -> Density:

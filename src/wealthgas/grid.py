@@ -40,13 +40,22 @@ class DegenerateDensityError(ValueError):
 class Grid:
     """Uniform discretization of [0, x_max] with n_points nodes.
 
-    The node and weight arrays are built on first use and kept for the life
-    of the grid: every access returns the same read-only array, so a caller
-    that needs to modify one must copy it first.
+    It owns its rules, n_points >= 16 and 0 < x_max < inf, and raises ValueError naming the
+    value that breaks one; the fields are stored as int and float.  The node and weight arrays
+    are built on first use and kept for the life of the grid: every access returns the same
+    read-only array, so a caller that needs to modify one must copy it first.
     """
 
     n_points: int
     x_max: float
+
+    def __post_init__(self):
+        if not self.n_points >= 16:
+            raise ValueError(f"n_points must be >= 16, got {self.n_points}")
+        if not 0.0 < self.x_max < np.inf:
+            raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
+        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "x_max", float(self.x_max))
 
     @property
     def spacing(self) -> float:
@@ -69,12 +78,8 @@ class Grid:
 
 
 def make_grid(n_points: int, x_max: float) -> Grid:
-    """Build a uniform grid, rejecting discretizations too coarse to use."""
-    if n_points < 16:
-        raise ValueError(f"n_points must be >= 16, got {n_points}")
-    if not 0.0 < x_max < np.inf:
-        raise ValueError(f"x_max must be positive and finite, got {x_max}")
-    return Grid(int(n_points), float(x_max))
+    """``Grid(n_points, x_max)``, which checks both and raises ValueError on either."""
+    return Grid(n_points, x_max)
 
 
 def default_grid(mean: float = 1.0, n_points: int = DEFAULT_N_POINTS) -> Grid:
@@ -308,13 +313,10 @@ def write_csv(path, header, columns) -> None:
 
     ``columns`` holds one sequence per header cell, all of one length.  A column whose
     first cell is a ``float`` (numpy ``float64`` included) is written at 17 significant
-    digits (``%.17g``, a bit-exact round-trip): by ``_float_cells`` from one row block
-    up, by Python's own ``%.17g`` (``_python_cells``) below, and for a column that is not
-    all float64.  The short path stays because the tables do not pay there: sending every
-    float column through ``_float_cells`` made ``families`` (54 rows) slower, 0.0576 ->
-    0.0612 s in 6 of 6 benchmark pairs, with peak RSS 37.04 -> 37.40 MB.  Other cells get the
-    bytes of ``str()`` from ``_text_cells``.  A column count other than the header's, or columns of
-    unequal length, raise ValueError; a ``str`` in a float column raises TypeError.
+    digits (``%.17g``, a bit-exact round-trip): by ``_float_cells`` when it is all float64,
+    whatever its length, else by Python's own ``%.17g`` (``_python_cells``).  Other cells get
+    the bytes of ``str()`` from ``_text_cells``.  A column count other than the header's, or
+    columns of unequal length, raise ValueError; a ``str`` in a float column raises TypeError.
     Nothing is written when either is raised.  Cells are not quoted, so none may hold a
     comma, a quote, a line break or a NUL.
     """
@@ -327,8 +329,7 @@ def write_csv(path, header, columns) -> None:
     for col in columns:
         if n and isinstance(col[0], float):
             values = np.asarray(col)
-            short = values.dtype != np.float64 or n < _BLOCK_ROWS
-            kinds.append((_python_cells if short else _float_cells, values))
+            kinds.append((_float_cells if values.dtype == np.float64 else _python_cells, values))
         else:
             kinds.append((_text_cells, col))
     _write_table(path, header, n, lambda rows: [fmt(col[rows]) for fmt, col in kinds])

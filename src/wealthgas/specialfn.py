@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+EXP_ZERO_ARG = 746.0  # e^(-t) rounds to 0 past t = 745.2: cap x at this over a rate
+
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
@@ -26,7 +28,7 @@ def e1_difference_quotient(a: float, b: float, x: np.ndarray) -> np.ndarray:
     Symmetric in a and b; ln(a/b)/(a - b) at x = 0 and e^(-a x)/a at a = b.
     The rate integral above is summed by the 16-node Gauss-Legendre rule on
     ceil(l) equal panels of width at most 1, within 4.2e-15 relative of
-    40-digit values from equal rates to a rate ratio of 1e15.
+    40-digit values from equal rates to a rate ratio of 1e15; x is capped as in ``EXP_ZERO_ARG``.
     """
     x = np.asarray(x, dtype=np.float64)
     lo, gap = min(a, b), abs(a - b)
@@ -37,5 +39,5 @@ def e1_difference_quotient(a: float, b: float, x: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(x)
     # node by node: a len(x) x 16 matrix and its product would cost about 2 MB of peak memory
     for rate, weight in zip(rates.ravel().tolist(), np.tile(w, panels).tolist()):
-        acc += weight * np.exp(-rate * x)
+        acc += weight * np.exp(-rate * np.minimum(x, EXP_ZERO_ARG / rate))
     return (ell / gap if gap else 1.0 / lo) * (0.5 / panels) * acc

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wealthgas import (
     AgentEnsemble,
@@ -118,7 +120,64 @@ def test_ensemble_rejects_a_negative_balance_and_an_overflowing_total():
         AgentEnsemble(money=np.array([1.0, -3.0]), rng_seed=0)
     with pytest.raises(ValueError, match="total money overflows"):
         AgentEnsemble(money=np.array([1e308, 1e308]), rng_seed=0)
-    assert AgentEnsemble(money=np.array([0.0, -0.0]), rng_seed=0).total == 0.0
+    # -0.0 is a nonnegative balance, but money that sums to zero has no mean to fit
+    with pytest.raises(ValueError, match=r"mean money must be positive with a finite rate 1/mean, got 0\.0$"):
+        AgentEnsemble(money=np.array([0.0, -0.0]), rng_seed=0)
+
+
+@pytest.mark.parametrize("money, shown", [([0.0, 0.0], r"0\.0"), ([1e-310, 1e-310], "1e-310")],
+                         ids=["zero_money", "rate_overflows"])
+def test_ensemble_rejects_a_mean_without_a_finite_rate(money, shown):
+    # Unchecked, [0, 0] runs its transactions and then money_drift divides by zero,
+    # and [1e-310, 1e-310] is fitted to beta_hat = inf with ks_statistic 0.0.
+    with pytest.raises(ValueError, match=f"mean money must be positive with a finite rate 1/mean, got {shown}$"):
+        AgentEnsemble(money=np.array(money), rng_seed=0)
+
+
+@pytest.mark.parametrize("equal, message", [
+    (0.0, r"mean money must be positive with a finite rate 1/mean, got 0\.0$"),
+    (1e-310, "mean money must be positive with a finite rate 1/mean, got 1e-310$"),
+    (-1.0, r"money must be finite and nonnegative, got -1\.0 at agent 0$"),
+    (math.nan, "money must be finite and nonnegative, got nan at agent 0$"),
+    (math.inf, "money must be finite and nonnegative, got inf at agent 0$"),
+    (1e308, "total money overflows$"),
+], ids=["zero", "tiny", "negative", "nan", "inf", "total_overflows"])
+def test_init_leaves_the_equal_money_to_the_ensemble(equal, message):
+    with pytest.raises(ValueError, match=message):
+        init_ensemble(10, equal=equal, seed=0)
+
+
+_BALANCES = st.one_of(
+    st.floats(min_value=0.0),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, 5.6e-309, 1e-300, 1.0, 1e300, 1e307, 1e308, -1.0, math.nan]),
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(_BALANCES, min_size=2, max_size=12), st.sampled_from([2, 10, 200]))
+def test_every_ensemble_it_accepts_can_be_fitted(balances, n_bins):
+    # The suite turns every numpy warning into an error, so each call below must also be silent.
+    try:
+        ens = AgentEnsemble(money=np.array(balances), rng_seed=0)
+    except ValueError:
+        return
+    fit = fit_exponential(ens)
+    assert 0.0 < fit.beta_hat < math.inf and 0.0 <= fit.ks_statistic <= 1.0
+    assert ens.money_drift == 0.0
+    m_max = 10.0 * ens.mean_money  # the default cut of simulate
+    try:
+        hist = histogram(ens, n_bins, m_max)
+    except ValueError as exc:  # the histogram's own rules: a cut that overflows, or too small for the bins
+        assert "m_max" in str(exc) and str(m_max) in str(exc)
+        return
+    assert np.all(np.isfinite(hist.densities)) and np.all(hist.densities >= 0.0)
+
+
+def test_histogram_rejects_a_cut_whose_full_bin_overflows():
+    # 200 / (10 * m) is finite here, but n / (n * width) for a bin holding all 10 agents is not
+    ens = init_ensemble(10, equal=1.1125369292536009e-307, seed=0)
+    with pytest.raises(ValueError, match="m_max 1.1125369292536008e-306 is too small for 200 bins"):
+        histogram(ens, 200, 10.0 * ens.mean_money)
 
 
 def test_init_from_zero_density_rejected():
@@ -360,10 +419,10 @@ def test_run_transactions_rejects_a_nonpositive_count():
 
 
 def test_fit_rejects_one_agent_and_zero_money():
-    # an ensemble of one agent can no longer be built, so the fit never sees one
+    # neither ensemble can be built, so the fit never sees one
     with pytest.raises(ValueError, match="need at least 2 agents"):
         fit_exponential(AgentEnsemble(money=np.ones(1), rng_seed=0))
-    with pytest.raises(ValueError, match="degenerate ensemble: zero total money"):
+    with pytest.raises(ValueError, match="mean money must be positive with a finite rate 1/mean, got 0.0"):
         fit_exponential(AgentEnsemble(money=np.zeros(5), rng_seed=0))
 
 

@@ -300,9 +300,9 @@ def test_simulate_rejects_single_agent(tmp_path):
 )
 def test_simulate_rejects_non_finite_money(tmp_path, extra):
     # --m0 1e308 overflows the total money of 10 agents; 1/1e-310 and 1/1e-320
-    # overflow the fitted rate, and at --m0 1e-307 the default cut 10 * mean
-    # gives 200 bins whose density overflows.  None of them may emit a numpy
-    # warning, which the suite turns into an error.
+    # overflow the fitted rate, both rules of AgentEnsemble, and at --m0 1e-307
+    # the default cut 10 * mean gives 200 bins whose density overflows.  None of
+    # them may emit a numpy warning, which the suite turns into an error.
     out = tmp_path / "out"
     rc = run_cli(["simulate", "--agents", "10", "--transactions", "10", "--out", out] + extra)
     assert rc == 2
@@ -321,6 +321,27 @@ def test_simulate_rejects_histogram_options_before_running(tmp_path, monkeypatch
     out = tmp_path / "out"
     rc = run_cli(["simulate", "--agents", "10", "--transactions", "10", "--out", out] + extra)
     assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m0, message", [
+    ("0", "mean money must be positive with a finite rate 1/mean, got 0.0"),
+    ("1e-310", "mean money must be positive with a finite rate 1/mean, got 1e-310"),
+    ("-1", "money must be finite and nonnegative, got -1.0 at agent 0"),
+    ("nan", "money must be finite and nonnegative, got nan at agent 0"),
+    ("inf", "money must be finite and nonnegative, got inf at agent 0"),
+    ("1e308", "total money overflows"),
+    ("1e-307", "--m0 1e-307 puts the default histogram cut 10 * m0 out of range for 200 bins"),
+])
+def test_simulate_names_the_rule_that_rejects_m0(tmp_path, capsys, monkeypatch, m0, message):
+    # every rule but the cut's is the ensemble's own; all are checked before the Monte Carlo runs
+    def fail(*args, **kwargs):
+        raise AssertionError("the Monte Carlo ran before --m0 was checked")
+
+    monkeypatch.setattr(cli, "run_transactions", fail)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--agents", "10", "--transactions", "10", "--m0", m0, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

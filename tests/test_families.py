@@ -93,6 +93,13 @@ def test_spec_validation():
             FamilySpec("mix", alpha=1.0, beta=rate)
 
 
+@every_lattice_member
+def test_closed_form_image_is_nonnegative(spec):
+    # closed_form_step samples it with no clamp, so no value, -0.0 included, may carry a sign
+    x = np.concatenate([grid_for(spec).nodes, [0.0, 1e3 * family_mean(spec)]])
+    assert not np.any(np.signbit(closed_form_step_values(spec, x)))
+
+
 def test_order_cap_matches_closed_form_step():
     # n = 40, whose step sums 2n + 1 = 81 terms, is the largest order
     spec = FamilySpec("gamma", alpha=1.0, n=40)

@@ -9,6 +9,7 @@ import pytest
 from wealthgas import (
     DegenerateDensityError,
     Density,
+    Grid,
     GridMismatchError,
     l1_distance,
     make_grid,
@@ -40,6 +41,27 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(64, math.inf)
     with pytest.raises(ValueError):
         make_grid(64, math.nan)
+
+
+@pytest.mark.parametrize("n_points, x_max, message", [
+    (4097, -40.0, r"x_max must be positive and finite, got -40\.0$"),
+    (4097, 0.0, r"x_max must be positive and finite, got 0\.0$"),
+    (4097, math.nan, "x_max must be positive and finite, got nan$"),
+    (1, 1.0, "n_points must be >= 16, got 1$"),
+    (math.nan, 1.0, "n_points must be >= 16, got nan$"),
+], ids=["negative_cut", "zero_cut", "nan_cut", "one_node", "nan_nodes"])
+def test_grid_checks_its_own_rules(n_points, x_max, message):
+    # Built directly, not through make_grid.  Unchecked, Grid(4097, -40.0) gives densities of
+    # quad_norm -1 and an operator image of zeros, Grid(4097, 0.0) a numpy divide warning,
+    # and Grid(1, 1.0) a ZeroDivisionError.
+    with pytest.raises(ValueError, match=message):
+        Grid(n_points, x_max)
+
+
+def test_grid_stores_an_int_and_a_float():
+    g = Grid(np.int64(64), 10)
+    assert type(g.n_points) is int and type(g.x_max) is float
+    assert g == make_grid(64, 10.0) and hash(g) == hash(make_grid(64, 10.0))
 
 
 def test_grid_endpoints_exact():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from wealthgas.families import _gamma_sum
+from wealthgas import specialfn
+from wealthgas.families import FamilySpec, _gamma_sum, closed_form_step_values
 from wealthgas.specialfn import e1_difference_quotient
 
 
@@ -94,3 +95,22 @@ def test_e1_difference_quotient_against_a_40_digit_oracle(a, b):
     assert worst <= 4e-13
     # symmetric in the rates, bit for bit
     assert np.array_equal(e1_difference_quotient(b, a, x), got)
+
+
+def test_mix_step_at_x_1e308_is_zero_without_a_warning():
+    # uncapped, rate * x overflows at x = 1e308
+    vals = closed_form_step_values(FamilySpec("mix", alpha=1.0, beta=3.0), np.array([0.5, 1e308]))
+    assert vals[1] == 0.0
+    assert vals[0] == closed_form_step_values(FamilySpec("mix", alpha=1.0, beta=3.0), np.array([0.5]))[0]
+
+
+@pytest.mark.parametrize("a, b", _RATE_PAIRS)
+def test_the_cap_keeps_every_finite_value_bit_for_bit(a, b, monkeypatch):
+    # x runs past the point where every node's e^(-s x) is 0, then to 1e308
+    x = np.concatenate([np.linspace(0.0, 1e3 * (1.0 / a + 1.0 / b), 2001), [1e300, 1e308]])
+    capped = e1_difference_quotient(a, b, x)
+    assert np.all(np.isfinite(capped)) and capped[-1] == 0.0
+    monkeypatch.setattr(specialfn, "EXP_ZERO_ARG", math.inf)
+    with np.errstate(over="ignore"):
+        uncapped = e1_difference_quotient(a, b, x)
+    assert np.array_equal(capped, uncapped)
