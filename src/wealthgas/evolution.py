@@ -8,7 +8,9 @@ the density after one synchronized round of random pairwise exchanges.  The
 discretization is built from one set of trapezoid weights used three times:
 
 * the autoconvolution is the discrete convolution of the weight-scaled
-  samples, A = (w.y) conv (w.y), so c(r_m) ~= A_m / h on the doubled grid,
+  samples, A = (w.y) conv (w.y), so c(r_m) ~= A_m / h on the doubled grid;
+  one complex transform pair of the samples packed two to a complex number
+  gives all of A, each transform in Bailey's four-step form and in place,
 * the integrand g = c/r takes its analytic limit y(0)^2 at r = 0,
 * the tail integral is accumulated right-to-left with trapezoid steps.
 
@@ -61,11 +63,28 @@ def _check_tail(values: np.ndarray, what: str) -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _delay(length: int) -> np.ndarray:
-    """e^(-2 pi i k / length), k = 0..length/2: the spectrum of a one-sample delay."""
-    z = np.exp(-2j * np.pi * np.arange(length // 2 + 1) / length)
-    z.setflags(write=False)
-    return z
+def _four_step_tables(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The twiddles W_L^(k1 n2) of an l1 x l2 four-step transform, and the delay factor.
+
+    With l1 = 2^ceil(k/2) and l2 = 2^floor(k/2) for length L = 2^k, row k1 of
+    the twiddles is split as k1 = s*k1h + k1l (s = 2^floor(ceil(k/2)/2)), so
+    W_L^(k1 n2) = W_L^(s k1h n2) W_L^(k1l n2) is the product of two small
+    tables, of shapes (l1/s, l2) and (s, l2).  The factor (1 + W_L^k)/4 is
+    laid out as the forward transform leaves the spectrum, k = k1 + l1 k2 at
+    flat entry j = k1 l2 + k2, over the entries j < (L + l2)/2 that the
+    spectral step reads.
+    """
+    k = length.bit_length() - 1
+    l1, l2 = 1 << (k - k // 2), 1 << (k // 2)
+    s = 1 << ((k - k // 2) // 2)
+    n2 = np.arange(l2)
+    high = np.exp(-2j * np.pi * (np.outer(s * np.arange(l1 // s), n2) % length) / length)
+    low = np.exp(-2j * np.pi * np.outer(np.arange(s), n2) / length)
+    j = np.arange((length + l2) // 2)
+    delay = (1.0 + np.exp(-2j * np.pi * (j // l2 + l1 * (j % l2)) / length)) / 4.0
+    for table in (high, low, delay):
+        table.setflags(write=False)
+    return high, low, delay
 
 
 def _weighted_autoconv(y: Density) -> np.ndarray:
@@ -73,35 +92,66 @@ def _weighted_autoconv(y: Density) -> np.ndarray:
 
     With a = w.y split into its even samples e_k = a_2k and odd samples
     o_k = a_2k+1, the even entries are A_2m = (e*e)_m + (o*o)_m-1 and the
-    odd ones A_2m+1 = 2 (e*o)_m.  Four real transforms of length L, the next
-    power of two >= N-1, give both halves: the delay of o*o is a product
-    with the cached spectrum of a one-sample delay.  The end entries are the
-    single products a_0^2 and a_{N-1}^2 and are set exactly; at N = L+1 the
-    circular even half wraps its one out-of-range term, a_{N-1}^2, onto A_0,
-    which the exact A_0 overwrites.
+    odd ones A_2m+1 = 2 (e*o)_m.  One complex transform pair of length L, the
+    next power of two >= N-1, gives both halves: a is packed as z = e + i o
+    (its own memory read as complex), and its spectrum Z gives
+    W = Z^2 - f d^2, with f = (1 + e^(-2 pi i k/L))/4 and d = Z - conj Z(-k),
+    the spectrum of (e*e + o*o delayed one sample) + i 2 (e*o).  So the
+    inverse of W, read as floats, is A in order.
+
+    Each transform is Bailey's four-step form on an l1 x l2 buffer
+    (l1 l2 = L): the forward one takes the columns, the twiddles W_L^(k1 n2)
+    and the rows, and leaves Z at k = k1 + l1 k2 in entry (k1, k2); the
+    inverse one takes that order back through the rows, the conjugate
+    twiddles and the columns to natural order, dividing by L exactly.
+    Every transform runs in place in the buffer that holds a and then A;
+    the spectral step between them needs one temporary of half its size.  The
+    end entries are the single products a_0^2 and a_{N-1}^2 and are set
+    exactly; at N = L+1 the circular even half wraps its one out-of-range
+    term, a_{N-1}^2, onto A_0, which the exact A_0 overwrites.
     """
-    a = y.grid.trap_weights * y.values
-    n = a.shape[0]
+    n = y.grid.n_points
     size = 1
     while size < n - 1:
         size *= 2
-    # each buffer is dropped once spent, which keeps the step's peak memory
-    # and page faults down
-    fe = np.fft.rfft(a[0::2], size)
-    fo = np.fft.rfft(a[1::2], size)
-    first, last = a[0] * a[0], a[-1] * a[-1]
-    del a
-    odd = fe * fo
-    odd *= 2.0
-    fe *= fe
-    fo *= fo
-    fo *= _delay(size)
-    fe += fo
-    del fo
-    A = np.empty(2 * n - 1)
-    A[1::2] = np.fft.irfft(odd, size)[: n - 1]
-    del odd
-    A[0:-1:2] = np.fft.irfft(fe, size)[: n - 1]
+    high, low, delay = _four_step_tables(size)
+    l2 = high.shape[1]
+    buf = np.empty(2 * size + 1)
+    np.multiply(y.grid.trap_weights, y.values, out=buf[:n])
+    buf[n:] = 0.0
+    first, last = buf[0] * buf[0], buf[n - 1] * buf[n - 1]
+    flat = buf[:-1].view(np.complex128)
+    z = flat.reshape(-1, l2)
+    split = z.reshape(high.shape[0], low.shape[0], l2)  # row k1 = s k1h + k1l at (k1h, k1l)
+    np.fft.fft(z, axis=0, out=z)
+    split *= high[:, None]
+    split *= low
+    np.fft.fft(z, axis=1, out=z)
+    # In flat order, -k of entry j is entry l2 - j for j in [1, l2) and
+    # L + l2 - 1 - j for j >= l2: each range reversed.  Since f(-k) = conj f(k)
+    # and d(-k) = -conj d(k), one product e = f d^2 on a lower half gives
+    # W = Z^2 - e there and conj W = (conj Z)^2 - e on the mirrored upper half
+    mid = (size + l2) // 2
+    for lower, upper in ((slice(1, l2 // 2), slice(l2 - 1, l2 // 2, -1)),
+                         (slice(l2, mid), slice(size - 1, mid - 1, -1))):
+        zl, zu = flat[lower], flat[upper]
+        np.conjugate(zu, out=zu)
+        e = zl - zu
+        e *= e
+        e *= delay[lower]
+        zl *= zl
+        zl -= e
+        zu *= zu
+        zu -= e
+        np.conjugate(zu, out=zu)
+    # the two entries that are their own mirror: f = 1/2 at k = 0, f = 0 at k = L/2
+    flat[0] = flat[0] ** 2 + 2.0 * flat[0].imag ** 2
+    flat[l2 // 2] **= 2
+    np.fft.ifft(z, axis=1, out=z)
+    split *= high.conj()[:, None]
+    split *= low.conj()
+    np.fft.ifft(z, axis=0, out=z)
+    A = buf[: 2 * n - 1]
     A[0] = first
     A[-1] = last
     return A
@@ -111,12 +161,12 @@ def autoconvolve(y: Density) -> np.ndarray:
     """Sampled autoconvolution (y*y)(r_k) on the doubled domain [0, 2*x_max].
 
     Trapezoid-weighted discrete convolution scaled by the spacing; the
-    zero-length integral at r = 0 is exactly 0.  The even and odd samples
-    are transformed separately, at the next power of two >= N-1 points
-    (N-1 itself at the default N = 2^k+1, where the one wrapped entry is set
-    in closed form), so the cost is O(N log N); on unit-mass inputs it
-    agrees pointwise with the O(N^2) direct sum to a few 1e-16 (verify's
-    method_equivalence check).
+    zero-length integral at r = 0 is exactly 0.  The samples, packed two to
+    a complex number, take one forward and one inverse complex transform
+    of the next power of two >= N-1 points (N-1 itself at the default
+    N = 2^k+1, where the one wrapped entry is set in closed form), so the
+    cost is O(N log N); on unit-mass inputs it agrees pointwise with the
+    O(N^2) direct sum to a few 1e-16 (verify's method_equivalence check).
     """
     c = _weighted_autoconv(y) / y.grid.spacing
     c[0] = 0.0

@@ -80,6 +80,8 @@ class FamilySpec:
         if self.kind is FamilyKind.TWO_EXP_MIX:
             if self.beta is None or not 0.0 < self.beta < math.inf:
                 raise ValueError(f"beta must be positive and finite, got {self.beta}")
+            if not max(self.alpha, self.beta) / min(self.alpha, self.beta) < math.inf:
+                raise ValueError(f"the ratio of the rates alpha {self.alpha} and beta {self.beta} overflows")
         else:
             object.__setattr__(self, "beta", None)
         if self.kind is FamilyKind.EPSILON_MIX:

@@ -6,7 +6,9 @@ only: the tests call these checks rather than restate them.  The bounds of
 the exact laws (mass squaring, mean conservation, the fixed point) sit at
 least 100x above the worst value measured over seeds 0-31, grids of 64 to
 16385 nodes and x_max 40 and 80; the Lipschitz bound is the constant 2
-plus 5e-9 of slack, and the worst ratio measured there is 1.25:
+plus 5e-9 of slack, and the worst ratio measured there is 1.25.  Its
+non-vacuity bound is the constant 1 less 1e-12 of slack, because the
+largest ratio there reads as little as 1 + 2.2e-16, one ulp from 1:
 
 * mass squaring:         quad_norm(Ty) = quad_norm(y)^2
 * mean conservation:     quad_mean(Ty) = quad_mean(y) for unit-mass y
@@ -129,7 +131,7 @@ def check_lipschitz(grid: Grid, rng: np.random.Generator) -> list[PropertyCheck]
     worst = max(ratios)
     return [
         _check("lipschitz_bound", worst, 2.0 + 5e-9, detail="max ||Ty-Tw||/||y-w||"),
-        _check("lipschitz_nonvacuity", worst, 1.0, ">=", detail="largest ratio reaches the unit sphere"),
+        _check("lipschitz_nonvacuity", worst, 1.0 - 1e-12, ">=", detail="largest ratio reaches the unit sphere"),
     ]
 
 
@@ -140,7 +142,7 @@ def check_fixed_points(grid: Grid, rng: np.random.Generator) -> list[PropertyChe
         g = default_grid(1.0 / a, grid.n_points)
         y = sample_family(FamilySpec(FamilyKind.EXPONENTIAL, alpha=a), g)
         worst_fp = max(worst_fp, l1_distance(apply_operator(y), y))
-    return [_check("fixed_point", worst_fp, 1e-9, detail="max L1 self-distance of sampled exponentials")]
+    return [_check("fixed_point", worst_fp, 1e-12, detail="max L1 self-distance of sampled exponentials")]
 
 
 def check_ode_residual(grid: Grid, rng: np.random.Generator) -> list[PropertyCheck]:

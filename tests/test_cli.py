@@ -139,7 +139,7 @@ _TRIANGLE_SLOPE = " is too small for this grid: the triangle's slope x/mean^2 ov
     (["--family", "triangle", "--mean", "nan"], _DEFAULT_GRID_MEAN + "nan"),
     (["--family", "triangle", "--mean", "1e307"], _DEFAULT_GRID_MEAN + "1e+307"),
     (["--family", "exponential", "--alpha", "1e-310"], _DEFAULT_GRID_MEAN + "inf"),
-    (["--family", "mix", "--beta", "1e-310"], _DEFAULT_GRID_MEAN + "inf"),
+    (["--family", "mix", "--alpha", "1e-300", "--beta", "1e-310"], _DEFAULT_GRID_MEAN + "inf"),
     (["--family", "triangle", "--mean", "1e-308"], "mean 1e-308" + _TRIANGLE_SLOPE),
     (["--family", "triangle", "--mean", "1e-320"], "mean 1e-320" + _TRIANGLE_SLOPE),
 ], ids=["negative", "zero", "inf", "nan", "huge", "exponential_tiny_rate", "mix_tiny_rate",
@@ -151,6 +151,16 @@ def test_iterate_start_out_of_the_default_grids_range_exits_2(tmp_path, capsys, 
     assert run_cli(["iterate", *option, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {message}\n" and "x_max" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha, beta", [("1e-200", "1e200"), ("1e200", "1e-200"), ("1", "1e-310")])
+def test_families_mix_with_an_overflowing_rate_ratio_exits_2(tmp_path, capsys, alpha, beta):
+    # FamilySpec refuses the pair, so the cross term's rate integral never sees a ratio of 1e400
+    out = tmp_path / "out"
+    assert run_cli(["families", "--family", "mix", "--alpha", alpha, "--beta", beta, "--out", out]) == 2
+    assert capsys.readouterr().err == (f"error: the ratio of the rates alpha {float(alpha)} and beta {float(beta)} "
+                                       "overflows\n")
     assert not out.exists()
 
 
@@ -199,10 +209,10 @@ def test_iterate_initial_with_one_positive_tail_sample(tmp_path, capsys):
 
 def test_iterate_stops_where_rounding_breaks_the_mass_rule(tmp_path, capsys):
     # the default triangle starts at mass 1, but a step maps mass c to c**2, so rounding doubles
-    # every step; by step 35 it is past 1e-6, long before step_delta could fall below 1e-9
+    # every step; by step 33 it is past 1e-6, long before step_delta could fall below 1e-9
     out = tmp_path / "out"
     assert run_cli(["iterate", "--steps", "100", "--stop-delta", "1e-9", "--out", out]) == 2
-    assert " at step 35 is off 1 by more than 1e-06" in capsys.readouterr().err
+    assert " at step 33 is off 1 by more than 1e-06" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -33,12 +33,11 @@ MUTATIONS = {
         {"norm_squaring", "mean_conservation", "fixed_point", "derivative_zero_recurrence",
          "norm_trichotomy"},
     ),
-    # a gain of one part in 1e9: the mass laws see it; fixed_point reads
-    # 9.9999994e-10, just inside its 1e-9 bound
+    # a gain of one part in 1e9: the mass laws and the fixed point see it
     "(1+1e-9)*Ty": (
         "apply_operator",
         lambda y: apply_operator(y).scaled(1.0 + 1e-9),
-        {"norm_squaring", "mean_conservation"},
+        {"norm_squaring", "mean_conservation", "fixed_point"},
     ),
     "T(Ty)": (
         "apply_operator",
