@@ -56,6 +56,7 @@ from .agents import (
     init_ensemble,
     run_transactions,
     histogram,
+    histogram_cut,
     fit_exponential,
     write_ensemble_csv,
     write_histogram_csv,
@@ -103,6 +104,7 @@ __all__ = [
     "init_ensemble",
     "run_transactions",
     "histogram",
+    "histogram_cut",
     "fit_exponential",
     "write_ensemble_csv",
     "write_histogram_csv",

@@ -70,21 +70,26 @@ def _exchange_waves(money, ii, jj, eps):
     ``a[idx]`` costs about half of ``a.take(idx)``.
 
     Cost per transaction, medians measured on a 2-core Xeon VM (1e4-5e4
-    transactions below 1e5 agents, 1e6 at 1e5 and 1e6).  The loop in Python,
-    over numpy arrays, ran in ``run_transactions`` with its draws.
+    transactions below 1e5 agents, 1e6 at 1e5 and 1e6).  The loops in Python
+    ran in ``run_transactions`` with its draws, the first over the numpy
+    arrays, the second over ``money.tolist()`` and the draws' ``tolist()``,
+    written back at the end; both are bit-identical to the kernel.
 
-        agents  kernel   loop in Python
-        10      4.46 us  0.50 us
-        100     1.03 us  0.76 us
-        1000    385 ns   0.86 us
-        1e5     39 ns    0.90 us
-        1e6     54 ns    0.75 us
+        agents  kernel   loop over arrays  loop over lists
+        10      4.46 us  0.50 us           135 ns
+        100     1.03 us  0.76 us           130 ns
+        1000    385 ns   0.86 us           170-195 ns
+        1e5     39 ns    0.90 us           365-405 ns
+        1e6     54 ns    0.75 us           745 ns
 
     Small ensembles pay for the waves: a window of 64 transactions over few
-    agents needs nearly one pass per transaction.  Below a few hundred agents
-    the kernel is slower than the loop.  At these sizes a whole ``simulate``
-    of 1e5 transactions still ends in under 2 s, and one kernel keeps one
-    code path; a size-selected scalar loop is not worth a second one.
+    agents needs nearly one pass per transaction.  The list loop is faster
+    than the kernel up to at least 1000 agents (the kernel read 5.1-6.4 us,
+    1.0 us and 430-490 ns there in the same runs as the list loop), and the
+    crossover lies between 1000 and 1e5.  At these sizes a whole
+    ``simulate`` of 1e5 transactions still ends in under 2 s, and one kernel
+    keeps one code path; a size-selected loop waits for a benchmark workload
+    on a small gas to show what it would gain.
     """
     n = money.shape[0]
     width = max(64, n // 16)
@@ -225,30 +230,35 @@ class HistogramEstimate:
     n_samples: int
 
 
-def check_histogram_args(n_bins: int, m_max: float | None) -> None:
-    """Raise ValueError unless n_bins >= 2 and m_max (if given) and n_bins / m_max are positive and finite."""
+def histogram_cut(ens: AgentEnsemble, n_bins: int, m_max: float | None = None) -> float:
+    """The cut of a histogram of ``ens`` on ``n_bins`` bins: ``m_max``, by default 10 * mean money.
+
+    It owns the three rules on a cut, each raising ValueError that names the value: at least
+    2 bins, 0 < cut < inf, and a finite density n / (n * cut / n_bins) for a bin that holds
+    every agent.  The rule reads only the agent count, the bins and the cut, so a cut resolved
+    before ``run_transactions`` gets the same verdict after it.
+    """
     if n_bins < 2:
         raise ValueError(f"need at least 2 bins, got {n_bins}")
-    if m_max is not None and not 0.0 < m_max < math.inf:
-        raise ValueError(f"m_max must be positive and finite, got {m_max}")
-    if m_max is not None and not math.isfinite(n_bins / m_max):
-        raise ValueError(f"m_max {m_max} is too small for {n_bins} bins: the bin densities overflow")
+    cut = 10.0 * ens.mean_money if m_max is None else m_max
+    named = f"m_max {cut}" if m_max is not None else f"the default cut 10 * mean money, {cut},"
+    if not 0.0 < cut < math.inf:
+        raise ValueError(f"{named} is not positive and finite")
+    scale = ens.n_agents * (cut / n_bins)
+    if not (scale > 0.0 and ens.n_agents / scale < math.inf):
+        raise ValueError(f"{named} is too small for {n_bins} bins: the bin densities overflow")
+    return cut
 
 
 def histogram(ens: AgentEnsemble, n_bins: int, m_max: float) -> HistogramEstimate:
-    """Per-bin probability density on uniform bins over [0, m_max].
+    """Per-bin probability density on uniform bins over [0, m_max], a cut ``histogram_cut`` accepts.
 
     Densities are normalized by the full sample count, so mass that
     overflows m_max shows up as a total below 1 rather than being rescaled.
-    A cut at which a bin holding every agent would overflow raises ValueError.
+    The bin width is m_max / n_bins, exactly the spacing of ``np.linspace``'s edges.
     """
-    check_histogram_args(n_bins, m_max)
-    edges = np.linspace(0.0, m_max, n_bins + 1)
-    scale = ens.n_agents * float(edges[1] - edges[0])
-    if not ens.n_agents / scale < math.inf:  # n_bins / m_max may still be finite, within an ulp
-        raise ValueError(f"m_max {m_max} is too small for {n_bins} bins: the bin densities overflow")
-    counts, _ = np.histogram(ens.money, bins=edges)
-    dens = counts / scale
+    edges = np.linspace(0.0, histogram_cut(ens, n_bins, m_max), n_bins + 1)
+    dens = np.histogram(ens.money, bins=edges)[0] / (ens.n_agents * (m_max / n_bins))
     return HistogramEstimate(bin_edges=edges, densities=dens, n_samples=ens.n_agents)
 
 

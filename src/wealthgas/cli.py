@@ -12,7 +12,6 @@ files.  Only this module forks: ``map_on_cores`` shares the density files of
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import pickle
 import sys
@@ -23,9 +22,9 @@ from pathlib import Path
 
 from . import __version__
 from .agents import (
-    check_histogram_args,
     fit_exponential,
     histogram,
+    histogram_cut,
     init_ensemble,
     run_transactions,
     write_ensemble_csv,
@@ -165,12 +164,9 @@ def cmd_iterate(args) -> tuple[int, dict]:
 
 def cmd_simulate(args) -> tuple[int, dict]:
     out_dir = Path(args.out)
-    check_histogram_args(args.bins, args.m_max)
     ens = init_ensemble(args.agents, equal=args.m0, seed=args.seed)
-    if args.m_max is None and not 0.0 < args.bins / (10.0 * ens.mean_money) < math.inf:
-        raise ValueError(f"--m0 {args.m0} puts the default histogram cut 10 * m0 out of range for {args.bins} bins")
+    m_max = histogram_cut(ens, args.bins, args.m_max)
     ens = run_transactions(ens, args.transactions)
-    m_max = args.m_max if args.m_max is not None else 10.0 * ens.mean_money
     hist = histogram(ens, args.bins, m_max)
     fit = fit_exponential(ens)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--m0", type=float, default=1.0, help="equal initial money per agent")
     p_sim.add_argument("--bins", type=int, default=200)
-    p_sim.add_argument("--m-max", type=float, default=None, help="histogram cut (default 10 * mean)")
+    p_sim.add_argument("--m-max", type=float, default=None, help="histogram cut (default 10 * the mean money at the start)")
     p_sim.add_argument("--out", type=Path, default=Path("."))
     p_sim.set_defaults(func=cmd_simulate)
 

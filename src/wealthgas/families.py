@@ -70,7 +70,7 @@ class FamilySpec:
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.kind in (FamilyKind.GAMMA, FamilyKind.EPSILON_MIX):
-            if self.n is None or not self.n >= 0 or not float(self.n).is_integer():
+            if self.n is None or not 0 <= self.n < math.inf or self.n != int(self.n):
                 raise ValueError(f"n must be a nonnegative integer, got {self.n}")
             if self.n > _MAX_N:
                 raise ValueError(f"n capped at {_MAX_N}, got {self.n}")

@@ -40,18 +40,18 @@ class DegenerateDensityError(ValueError):
 class Grid:
     """Uniform discretization of [0, x_max] with n_points nodes.
 
-    It owns its rules, n_points >= 16 and 0 < x_max < inf, and raises ValueError naming the
-    value that breaks one; the fields are stored as int and float.  The node and weight arrays
-    are built on first use and kept for the life of the grid: every access returns the same
-    read-only array, so a caller that needs to modify one must copy it first.
+    It owns its rules, an integer n_points >= 16 and 0 < x_max < inf, and raises ValueError
+    naming the value that breaks one; the fields are stored as int and float.  The node and
+    weight arrays are built on first use and kept for the life of the grid: every access returns
+    the same read-only array, so a caller that needs to modify one must copy it first.
     """
 
     n_points: int
     x_max: float
 
     def __post_init__(self):
-        if not self.n_points >= 16:
-            raise ValueError(f"n_points must be >= 16, got {self.n_points}")
+        if not 16 <= self.n_points < np.inf or self.n_points != int(self.n_points):
+            raise ValueError(f"n_points must be an integer >= 16, got {self.n_points}")
         if not 0.0 < self.x_max < np.inf:
             raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
         object.__setattr__(self, "n_points", int(self.n_points))
@@ -370,13 +370,14 @@ def read_density_csv(path) -> Density:
     fewer digits (``0.5``) reads back as the same doubles.  A blank line, a
     missing or extra cell, a quoted or non-numeric cell, no data rows, or a
     node column that is not the uniform grid given by its length and last
-    node are rejected.
+    node are rejected, and so is a file that breaks a rule of ``Grid`` or ``Density``; every
+    ValueError starts with the path.
     """
     with open(path, newline="") as f:
         header = f.readline().rstrip("\r\n")
         lines = f.read().splitlines()
     if header != _DENSITY_HEADER_LINE:
-        raise ValueError(f"expected header {_DENSITY_HEADER_LINE!r}, got {header!r}")
+        raise ValueError(f"{path}: expected header {_DENSITY_HEADER_LINE!r}, got {header!r}")
     if not lines:
         raise ValueError(f"{path}: no data rows after the header")
     if "" in lines:
@@ -388,7 +389,10 @@ def read_density_csv(path) -> Density:
     if table.shape[1] != 2:
         raise ValueError(f"{path}: every data row must hold two numbers, got {table.shape[1]}")
     x = table[:, 0]
-    grid = make_grid(len(x), x[-1])
-    if not np.array_equal(grid.nodes, x):
-        raise ValueError("node column is not the uniform grid implied by its length and endpoint")
-    return Density(grid, table[:, 1])
+    try:  # the grid's and the density's own rules, named with the file
+        y = Density(make_grid(len(x), x[-1]), table[:, 1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not np.array_equal(y.grid.nodes, x):
+        raise ValueError(f"{path}: node column is not the uniform grid implied by its length and endpoint")
+    return y

@@ -14,6 +14,7 @@ from wealthgas import (
     FamilySpec,
     fit_exponential,
     histogram,
+    histogram_cut,
     init_ensemble,
     make_grid,
     run_transactions,
@@ -164,12 +165,20 @@ def test_every_ensemble_it_accepts_can_be_fitted(balances, n_bins):
     fit = fit_exponential(ens)
     assert 0.0 < fit.beta_hat < math.inf and 0.0 <= fit.ks_statistic <= 1.0
     assert ens.money_drift == 0.0
-    m_max = 10.0 * ens.mean_money  # the default cut of simulate
+    m_max = 10.0 * ens.mean_money  # the default cut of simulate, resolved on the start
+    try:
+        assert histogram_cut(ens, n_bins) == m_max
+        refused_before = False
+    except ValueError as exc:  # the cut's own rules: a cut that overflows, or too small for the bins
+        assert str(m_max) in str(exc)
+        refused_before = True
+    run_transactions(ens, 20)
     try:
         hist = histogram(ens, n_bins, m_max)
-    except ValueError as exc:  # the histogram's own rules: a cut that overflows, or too small for the bins
-        assert "m_max" in str(exc) and str(m_max) in str(exc)
+    except ValueError as exc:
+        assert refused_before and str(m_max) in str(exc)
         return
+    assert not refused_before
     assert np.all(np.isfinite(hist.densities)) and np.all(hist.densities >= 0.0)
 
 

@@ -321,7 +321,8 @@ def test_simulate_rejects_non_finite_money(tmp_path, extra):
 
 @pytest.mark.parametrize(
     "extra",
-    [["--bins", "1"], ["--m-max", "inf"], ["--m-max", "0"], ["--m-max", "1e-307"], ["--m0", "1e-307"]],
+    [["--bins", "1"], ["--m-max", "inf"], ["--m-max", "0"], ["--m-max", "1e-307"], ["--m0", "1e-307"],
+     ["--m0", "1.1125369292536009e-307"]],
 )
 def test_simulate_rejects_histogram_options_before_running(tmp_path, monkeypatch, extra):
     def fail(*args, **kwargs):
@@ -341,10 +342,12 @@ def test_simulate_rejects_histogram_options_before_running(tmp_path, monkeypatch
     ("nan", "money must be finite and nonnegative, got nan at agent 0"),
     ("inf", "money must be finite and nonnegative, got inf at agent 0"),
     ("1e308", "total money overflows"),
-    ("1e-307", "--m0 1e-307 puts the default histogram cut 10 * m0 out of range for 200 bins"),
+    ("1e-307", "the default cut 10 * mean money, 1.0000000000000002e-306, is too small for 200 bins: "
+               "the bin densities overflow"),
 ])
 def test_simulate_names_the_rule_that_rejects_m0(tmp_path, capsys, monkeypatch, m0, message):
-    # every rule but the cut's is the ensemble's own; all are checked before the Monte Carlo runs
+    # every rule but the cut's is the ensemble's own, the cut's is histogram_cut's; all are checked
+    # before the Monte Carlo runs
     def fail(*args, **kwargs):
         raise AssertionError("the Monte Carlo ran before --m0 was checked")
 
@@ -452,6 +455,17 @@ def test_overflowing_x_max_exits_2(tmp_path, capsys, args):
     assert run_cli([*args, "--x-max", "1e308", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Grid(n_points=4097, x_max=1e+308)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["iterate", "--n-points", str(10**400)],
+                                  ["families", "--family", "gamma", "--n", str(10**400)]],
+                         ids=["iterate_nodes", "families_order"])
+def test_an_integer_too_large_for_a_float_exits_2(tmp_path, capsys, args):
+    # the integrality rules of Grid and FamilySpec convert no count to float, so no OverflowError escapes
+    out = tmp_path / "out"
+    assert run_cli([*args, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

@@ -79,9 +79,11 @@ def test_spec_validation():
         FamilySpec("exponential", alpha=0.0)
     with pytest.raises(ValueError):
         FamilySpec("gamma", alpha=1.0, n=-1)
-    for n in (math.inf, math.nan):
+    for n in (math.inf, math.nan, 1.5):
         with pytest.raises(ValueError, match="n must be a nonnegative integer"):
             FamilySpec("gamma", alpha=1.0, n=n)
+    with pytest.raises(ValueError, match="n capped at 40, got 1000"):  # no OverflowError from float()
+        FamilySpec("gamma", alpha=1.0, n=10**400)
     with pytest.raises(ValueError):
         FamilySpec("mix", alpha=1.0, beta=-2.0)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Grid, density, and quadrature tests against analytic oracles."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -47,13 +48,16 @@ def test_make_grid_rejects_bad_inputs():
     (4097, -40.0, r"x_max must be positive and finite, got -40\.0$"),
     (4097, 0.0, r"x_max must be positive and finite, got 0\.0$"),
     (4097, math.nan, "x_max must be positive and finite, got nan$"),
-    (1, 1.0, "n_points must be >= 16, got 1$"),
-    (math.nan, 1.0, "n_points must be >= 16, got nan$"),
-], ids=["negative_cut", "zero_cut", "nan_cut", "one_node", "nan_nodes"])
+    (1, 1.0, "n_points must be an integer >= 16, got 1$"),
+    (math.nan, 1.0, "n_points must be an integer >= 16, got nan$"),
+    (16.5, 1.0, r"n_points must be an integer >= 16, got 16\.5$"),
+    (math.inf, 1.0, "n_points must be an integer >= 16, got inf$"),
+], ids=["negative_cut", "zero_cut", "nan_cut", "one_node", "nan_nodes", "fractional_nodes", "infinite_nodes"])
 def test_grid_checks_its_own_rules(n_points, x_max, message):
     # Built directly, not through make_grid.  Unchecked, Grid(4097, -40.0) gives densities of
     # quad_norm -1 and an operator image of zeros, Grid(4097, 0.0) a numpy divide warning,
-    # and Grid(1, 1.0) a ZeroDivisionError.
+    # and Grid(1, 1.0) a ZeroDivisionError; Grid(16.5, 1.0) would be silently truncated to 16 nodes
+    # and Grid(inf, 1.0) raise OverflowError from int().
     with pytest.raises(ValueError, match=message):
         Grid(n_points, x_max)
 
@@ -290,7 +294,7 @@ def test_density_csv_node_column_follows_the_grid(tmp_path):
 def test_density_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0,1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected header 'x,density', got 'a,b'$"):
         read_density_csv(path)
 
 
@@ -329,8 +333,22 @@ def test_density_csv_rejects_malformed_input(tmp_path, text):
     path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's reader warns on input with no rows
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             read_density_csv(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (_GOOD_ROWS[:15], "n_points must be an integer >= 16, got 15"),
+    ([f"{-x},1.0" for x in range(16)], "x_max must be positive and finite, got -15.0"),
+    (_GOOD_ROWS[:15] + ["16,1.0"], "node column is not the uniform grid implied by its length and endpoint"),
+    (_GOOD_ROWS[:15] + ["15,nan"], "density values must be finite"),
+], ids=["fifteen_rows", "negative_last_node", "nonuniform_nodes", "nan_value"])
+def test_density_csv_names_the_file_on_a_broken_grid_or_density_rule(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(_density_text(rows))
+    with pytest.raises(ValueError) as info:
+        read_density_csv(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_density_csv_good_rows_read(tmp_path):
