@@ -17,7 +17,6 @@ from .grid import (
     Density,
     GridMismatchError,
     DegenerateDensityError,
-    make_grid,
     default_grid,
     quad_norm,
     quad_mean,
@@ -71,7 +70,6 @@ __all__ = [
     "Density",
     "GridMismatchError",
     "DegenerateDensityError",
-    "make_grid",
     "default_grid",
     "quad_norm",
     "quad_mean",

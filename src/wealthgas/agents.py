@@ -227,7 +227,6 @@ def run_transactions(ens: AgentEnsemble, count: int) -> AgentEnsemble:
 class HistogramEstimate:
     bin_edges: np.ndarray
     densities: np.ndarray
-    n_samples: int
 
 
 def histogram_cut(ens: AgentEnsemble, n_bins: int, m_max: float | None = None) -> float:
@@ -259,7 +258,7 @@ def histogram(ens: AgentEnsemble, n_bins: int, m_max: float) -> HistogramEstimat
     """
     edges = np.linspace(0.0, histogram_cut(ens, n_bins, m_max), n_bins + 1)
     dens = np.histogram(ens.money, bins=edges)[0] / (ens.n_agents * (m_max / n_bins))
-    return HistogramEstimate(bin_edges=edges, densities=dens, n_samples=ens.n_agents)
+    return HistogramEstimate(bin_edges=edges, densities=dens)
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,8 @@ from .families import (
 )
 from .grid import (
     DEFAULT_N_POINTS,
+    Grid,
     default_grid,
-    make_grid,
     read_density_csv,
     write_csv,
     write_density_csv,
@@ -144,7 +144,7 @@ def _resolve_initial(args):
         mean = family_mean(spec)
         record = _family_record(spec)
     n_points = DEFAULT_N_POINTS if args.n_points is None else args.n_points
-    grid = default_grid(mean, n_points) if args.x_max is None else make_grid(n_points, args.x_max)
+    grid = default_grid(mean, n_points) if args.x_max is None else Grid(n_points, args.x_max)
     record.update({"n_points": grid.n_points, "x_max": grid.x_max})
     y0 = triangle_density(grid, mean) if spec is None else sample_family(spec, grid)
     return y0, record

@@ -277,8 +277,8 @@ def iterate_operator(
         raise ValueError(f"early_stop_delta must be positive, got {early_stop_delta}")
     _check_tail(y0.values, "initial density")
     mean = quad_mean(y0)
-    if not mean > 0.0:  # nonnegative values with all the mass at x = 0
-        raise DegenerateDensityError(f"initial density on {y0.grid} has mean 0: its shape falls between the nodes")
+    if not mean > 0.0:
+        raise DegenerateDensityError(f"initial density on {y0.grid} has mean 0: it has no mass, or all of it at x = 0")
     target = matched_exponential(y0.grid, mean)
     densities = [y0]
     reports: list[IterationReport] = []

@@ -205,23 +205,9 @@ def contraction_check(spec: FamilySpec, grid: Grid) -> ContractionResult:
     )
 
 
-def _lattice() -> tuple[FamilySpec, ...]:
-    alphas = (0.5, 1.0, 2.0)
-    betas = (1.5, 3.0)
-    ns = (0, 1, 2, 5)
-    epss = (0.25, 0.5, 0.75)
-    specs: list[FamilySpec] = []
-    for a in alphas:
-        for n in ns:
-            specs.append(FamilySpec(FamilyKind.GAMMA, alpha=a, n=n))
-    for a in alphas:
-        for b in betas:
-            specs.append(FamilySpec(FamilyKind.TWO_EXP_MIX, alpha=a, beta=b))
-    for a in alphas:
-        for n in ns:
-            for e in epss:
-                specs.append(FamilySpec(FamilyKind.EPSILON_MIX, alpha=a, n=n, eps=e))
-    return tuple(specs)
-
-
-PARAMETER_LATTICE: tuple[FamilySpec, ...] = _lattice()
+_ALPHAS, _NS = (0.5, 1.0, 2.0), (0, 1, 2, 5)
+PARAMETER_LATTICE: tuple[FamilySpec, ...] = (
+    *(FamilySpec(FamilyKind.GAMMA, alpha=a, n=n) for a in _ALPHAS for n in _NS),
+    *(FamilySpec(FamilyKind.TWO_EXP_MIX, alpha=a, beta=b) for a in _ALPHAS for b in (1.5, 3.0)),
+    *(FamilySpec(FamilyKind.EPSILON_MIX, alpha=a, n=n, eps=e) for a in _ALPHAS for n in _NS for e in (0.25, 0.5, 0.75)),
+)

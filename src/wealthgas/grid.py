@@ -77,11 +77,6 @@ class Grid:
         return w
 
 
-def make_grid(n_points: int, x_max: float) -> Grid:
-    """``Grid(n_points, x_max)``, which checks both and raises ValueError on either."""
-    return Grid(n_points, x_max)
-
-
 def default_grid(mean: float = 1.0, n_points: int = DEFAULT_N_POINTS) -> Grid:
     """Default grid for densities of a given mean: x_max = 40*mean.
 
@@ -91,7 +86,7 @@ def default_grid(mean: float = 1.0, n_points: int = DEFAULT_N_POINTS) -> Grid:
     """
     if not 0.0 < DOMAIN_MEAN_MULTIPLE * mean < np.inf:
         raise ValueError(f"mean must be positive with {DOMAIN_MEAN_MULTIPLE:g} * mean finite, got {mean}")
-    return make_grid(n_points, DOMAIN_MEAN_MULTIPLE * mean)
+    return Grid(n_points, DOMAIN_MEAN_MULTIPLE * mean)
 
 
 @dataclass(frozen=True)
@@ -152,15 +147,11 @@ def normalized(y: Density, mass: float = 1.0) -> Density:
 
 
 def quad_mean(y: Density) -> float:
-    """Trapezoid approximation of the unnormalized first moment.
+    """Trapezoid approximation of the unnormalized first moment, 0.0 for a zero density.
 
-    For a unit-norm density this is the mean wealth.  Raises on zero-mass
-    input, where the mean is undefined.
+    For a unit-norm density this is the mean wealth.
     """
-    w = y.grid.trap_weights
-    if float(w @ y.values) == 0.0:
-        raise DegenerateDensityError("mean undefined for a zero-norm density")
-    return float(w @ (y.grid.nodes * y.values))
+    return float(y.grid.trap_weights @ (y.grid.nodes * y.values))
 
 
 def l1_distance(y: Density, w: Density) -> float:
@@ -361,6 +352,19 @@ def write_density_csv(path, y: Density) -> None:
                  lambda rows: [nodes[rows], _float_cells(y.values[rows])])
 
 
+def _first_bad_row(lines) -> str:
+    """What breaks the first data row (1-based) that is not two numbers: its cell count, or the
+    first cell that ``np.loadtxt``'s own parser, run on that cell alone, cannot read."""
+    for row, cells in enumerate((line.split(",") for line in lines), 1):
+        if len(cells) != 2:
+            return f"data row {row} holds {len(cells)} cell{'s' * (len(cells) > 1)}"
+        for cell in cells:
+            try:
+                np.loadtxt([cell], delimiter=",", comments=None)
+            except ValueError:
+                return f"data row {row} has {cell!r}, which is not a number"
+
+
 def read_density_csv(path) -> Density:
     """Parse a CSV written by ``write_density_csv``; malformed input raises ValueError.
 
@@ -371,7 +375,7 @@ def read_density_csv(path) -> Density:
     missing or extra cell, a quoted or non-numeric cell, no data rows, or a
     node column that is not the uniform grid given by its length and last
     node are rejected, and so is a file that breaks a rule of ``Grid`` or ``Density``; every
-    ValueError starts with the path.
+    ValueError starts with the path, and a row that is not two numbers is named by its number.
     """
     with open(path, newline="") as f:
         header = f.readline().rstrip("\r\n")
@@ -384,13 +388,13 @@ def read_density_csv(path) -> Density:
         raise ValueError(f"{path}: blank line at data row {lines.index('') + 1}")
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: every data row must hold two numbers ({exc})") from None
-    if table.shape[1] != 2:
-        raise ValueError(f"{path}: every data row must hold two numbers, got {table.shape[1]}")
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != 2:
+        raise ValueError(f"{path}: every data row must hold two numbers; {_first_bad_row(lines)}")
     x = table[:, 0]
     try:  # the grid's and the density's own rules, named with the file
-        y = Density(make_grid(len(x), x[-1]), table[:, 1])
+        y = Density(Grid(len(x), x[-1]), table[:, 1])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not np.array_equal(y.grid.nodes, x):

@@ -46,8 +46,8 @@ from .evolution import (
     matched_exponential,
 )
 from .families import FamilyKind, FamilySpec, evaluate_family, sample_family, triangle_density
-from .grid import (DEFAULT_N_POINTS, DOMAIN_MEAN_MULTIPLE, Density, Grid, default_grid, l1_distance, make_grid,
-                   normalized, quad_mean, quad_norm)
+from .grid import (DEFAULT_N_POINTS, DOMAIN_MEAN_MULTIPLE, Density, Grid, default_grid, l1_distance, normalized,
+                   quad_mean, quad_norm)
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ PROPERTY_GROUPS = (
 
 def run_property_suite(settings: VerifySettings = VerifySettings()) -> list[PropertyCheck]:
     """Every property group, in order, on the settings' grid and one generator seeded from them."""
-    grid = make_grid(settings.n_points, settings.x_max)
+    grid = Grid(settings.n_points, settings.x_max)
     rng = np.random.default_rng(settings.seed)
     return [check for group in PROPERTY_GROUPS for check in group(grid, rng)]
 

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from wealthgas import (
+    Grid,
     apply_operator,
     characteristic_function,
     contraction_check,
@@ -31,7 +32,6 @@ from wealthgas import (
     init_ensemble,
     iterate_operator,
     l1_distance,
-    make_grid,
     matched_exponential,
     quad_mean,
     run_transactions,
@@ -42,7 +42,7 @@ from wealthgas.cli import main as cli_main
 from wealthgas.families import PARAMETER_LATTICE
 from wealthgas.verify import format_checks
 
-GRID = make_grid(4097, 40.0)
+GRID = Grid(4097, 40.0)
 LATTICE_N_POINTS = 32769  # resolution for the closed-form oracle sweep
 
 
@@ -146,7 +146,7 @@ def test_criterion_07_family_oracles_and_contraction():
     worst_gap = 0.0
     all_contracted = True
     for spec in PARAMETER_LATTICE:
-        res = contraction_check(spec, make_grid(LATTICE_N_POINTS, 40.0 * family_mean(spec)))
+        res = contraction_check(spec, Grid(LATTICE_N_POINTS, 40.0 * family_mean(spec)))
         worst_gap = max(worst_gap, res.oracle_l1_gap)
         point_ok = res.contracted or (res.d_before <= 1e-8 and res.d_after <= 1e-8)
         all_contracted = all_contracted and point_ok
@@ -192,7 +192,7 @@ def test_criterion_11_bridge_gas_vs_operator_fixed_point(equilibrated_gas):
     ens = equilibrated_gas
     m_max = 10.0 * ens.mean_money
     hist = histogram(ens, 200, m_max)
-    target = matched_exponential(make_grid(4097, 40.0 * ens.mean_money), ens.mean_money)
+    target = matched_exponential(Grid(4097, 40.0 * ens.mean_money), ens.mean_money)
     # compare per-bin: average the operator fixed point over each bin
     edges = hist.bin_edges
     x = target.grid.nodes

@@ -121,6 +121,18 @@ def test_main_keeps_the_pairs_measured_before_a_failed_run(tmp_path, monkeypatch
     assert entry["parent"]["wall_s"]["values"] == [0.3, 0.3]
 
 
+def test_a_checkout_holding_bytecode_caches_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    # PYTHONDONTWRITEBYTECODE stops writing bytecode, not reading it: that side would skip compiling src/
+    cache = tmp_path / "change" / "src" / "wealthgas" / "__pycache__"
+    cache.mkdir(parents=True)
+    monkeypatch.setattr(bench_pairs, "run_side", lambda *args: pytest.fail("a run started"))
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload",
+            "gas", "--seeds", "1", "--seconds", "5", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert str(cache) in capsys.readouterr().err and not out.exists()
+
+
 def test_median_change_is_signed_worse_and_read_against_the_bound():
     # change: 20% slower (bound 0.25), 25% more memory (bound 0.2), 2% fewer jobs ok (bound 0.01)
     pairs = [{"seed": seed, "first": "parent", "parent": _run(seed, 0.2),

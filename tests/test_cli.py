@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wealthgas import Density, cli, make_grid, write_density_csv
+from wealthgas import Density, Grid, cli, write_density_csv
 from wealthgas.cli import main
 
 
@@ -198,7 +198,7 @@ def test_iterate_mix_of_equal_rates_is_the_exponential(tmp_path):
 
 
 def test_iterate_initial_with_one_positive_tail_sample(tmp_path, capsys):
-    g = make_grid(401, 40.0)
+    g = Grid(401, 40.0)
     values = np.where(g.nodes < 35.0, np.exp(-g.nodes), 0.0)
     values[-1] = 1e-3
     initial = tmp_path / "ic.csv"
@@ -217,7 +217,7 @@ def test_iterate_stops_where_rounding_breaks_the_mass_rule(tmp_path, capsys):
 
 
 def test_iterate_initial_of_half_mass_exits_2(tmp_path, capsys):
-    g = make_grid(401, 40.0)
+    g = Grid(401, 40.0)
     initial = tmp_path / "ic.csv"
     write_density_csv(initial, Density(g, 0.5 * np.exp(-g.nodes)))
     out = tmp_path / "out"
@@ -240,7 +240,7 @@ def test_iterate_from_density_file(tmp_path):
 @pytest.mark.parametrize("option", [["--n-points", "8193"], ["--x-max", "7"]])
 def test_iterate_initial_rejects_grid_options(tmp_path, capsys, option):
     # the grid of --initial is the file's; a grid option beside it would be silently ignored
-    g = make_grid(257, 40.0)
+    g = Grid(257, 40.0)
     initial = tmp_path / "ic.csv"
     write_density_csv(initial, Density(g, np.exp(-g.nodes)))
     out = tmp_path / "out"
@@ -262,7 +262,7 @@ def test_iterate_initial_rejects_grid_options(tmp_path, capsys, option):
 ], ids=["triangle", "gamma_mean", "initial", "lattice", "exponential_n"])
 def test_start_options_the_run_does_not_use_exit_2(tmp_path, capsys, args, message):
     # an option the chosen start or family does not use would otherwise be silently ignored
-    g = make_grid(257, 40.0)
+    g = Grid(257, 40.0)
     write_density_csv(tmp_path / "ic.csv", Density(g, np.exp(-g.nodes)))
     out = tmp_path / "out"
     assert run_cli([tmp_path / "ic.csv" if a == "IC" else a for a in args] + ["--out", out]) == 2

@@ -7,6 +7,7 @@ quadrature of the double-integral definition of the operator.
 
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from scipy import integrate, signal
 from wealthgas import (
     Density,
     FamilySpec,
+    Grid,
     MassDefectError,
     TruncationHealthError,
     apply_operator,
@@ -26,7 +28,6 @@ from wealthgas import (
     fixed_point_ode_residual,
     iterate_operator,
     l1_distance,
-    make_grid,
     matched_exponential,
     quad_mean,
     quad_norm,
@@ -39,7 +40,7 @@ from wealthgas.evolution import REPORT_CSV_HEADER, derivative_chain, extrapolate
 from wealthgas.grid import DegenerateDensityError, normalized
 from wealthgas.verify import random_density, random_pdf
 
-GRID = make_grid(4097, 40.0)
+GRID = Grid(4097, 40.0)
 
 
 def expo(grid, alpha=1.0):
@@ -61,7 +62,7 @@ def test_autoconvolve_exponential_analytic():
 
 def test_autoconvolve_box_gives_triangle():
     # (1_[0,1] * 1_[0,1])(r) = r on [0, 1]
-    g = make_grid(2049, 4.0)
+    g = Grid(2049, 4.0)
     y = Density(g, (g.nodes <= 1.0).astype(float))
     c = autoconvolve(y)
     k = int(round(0.5 / g.spacing))
@@ -94,7 +95,7 @@ def _assert_every_entry_matches_direct_sum(n, seed):
     # visible, and a missing one-sample delay on the odd samples' square
     # moves every even entry
     rng = np.random.default_rng(seed)
-    y = Density(make_grid(n, 40.0), rng.random(n))
+    y = Density(Grid(n, 40.0), rng.random(n))
     direct = _direct_weighted_autoconv(y)
     got = evolution._weighted_autoconv(y)
     assert got.shape == direct.shape == (2 * n - 1,)
@@ -122,7 +123,7 @@ def test_weighted_autoconv_matches_scipy_at_the_benchmark_size():
     # error 1.1e-15 of max A on these samples
     n = 2**18 + 1
     rng = np.random.default_rng(n)
-    y = Density(make_grid(n, 40.0), rng.random(n))
+    y = Density(Grid(n, 40.0), rng.random(n))
     a = y.grid.trap_weights * y.values
     expected = signal.fftconvolve(a, a)
     got = evolution._weighted_autoconv(y)
@@ -146,7 +147,7 @@ def test_operator_fft_length(monkeypatch, n, size):
 
     monkeypatch.setattr(np.fft, "fft", recording(np.fft.fft))
     monkeypatch.setattr(np.fft, "ifft", recording(np.fft.ifft))
-    apply_operator(expo(make_grid(n, 40.0)))
+    apply_operator(expo(Grid(n, 40.0)))
     assert calls == [("fft", 0, True), ("fft", 1, True), ("ifft", 1, True), ("ifft", 0, True)]
     ((l1, l2),) = shapes
     assert l1 * l2 == size and l1 in (l2, 2 * l2)
@@ -176,7 +177,7 @@ def test_gamma_image_matches_closed_form():
     # is used because the conservative trapezoid scheme carries an O(h^2)
     # shape bias of ~4e-5 at 4097 nodes
     spec = FamilySpec("gamma", alpha=1.0, n=1)
-    g = make_grid(32769, 80.0)
+    g = Grid(32769, 80.0)
     num = apply_operator(sample_family(spec, g))
     oracle = closed_form_step(spec, g)
     assert l1_distance(num, oracle) <= 1e-5
@@ -197,7 +198,7 @@ def test_image_against_2d_quadrature_oracle():
         val, _ = integrate.quad(inner, 1e-12, 60.0, limit=200)
         return val
 
-    g = make_grid(32769, 80.0)
+    g = Grid(32769, 80.0)
     num = apply_operator(sample_family(FamilySpec("gamma", alpha=1.0, n=1), g))
     for xq in (0.0, 1.0, 3.5):
         k = int(round(xq / g.spacing))
@@ -209,7 +210,7 @@ def test_image_smooths_under_refinement():
     # image of a kinked input shrinks ~linearly with the spacing
     jumps = []
     for n in (513, 1025, 2049):
-        g = make_grid(n, 40.0)
+        g = Grid(n, 40.0)
         img = apply_operator(triangle_density(g, 1.0)).values
         jumps.append(float(np.max(np.abs(np.diff(img)))))
     assert jumps[2] < jumps[1] < jumps[0]
@@ -251,7 +252,7 @@ def test_second_moment_mismatch_contracts_by_two_thirds():
 
 def test_tail_health_rejects_fat_domain_overflow():
     # a shape still O(1) at x_max must fail loudly
-    g = make_grid(1025, 10.0)
+    g = Grid(1025, 10.0)
     y = Density(g, np.exp(-0.05 * g.nodes))
     with pytest.raises(TruncationHealthError):
         apply_operator(y)
@@ -263,7 +264,7 @@ def test_operator_commutes_with_dilation(c):
     # power of h, so extreme spacings neither overflow nor underflow
     rng = np.random.default_rng(21)
     y = random_pdf(GRID, rng)
-    y_c = Density(make_grid(GRID.n_points, c * GRID.x_max), y.values / c)
+    y_c = Density(Grid(GRID.n_points, c * GRID.x_max), y.values / c)
     ty = apply_operator(y).values
     diff = np.abs(c * apply_operator(y_c).values - ty)
     assert diff.max() <= 1e-13 * ty.max()
@@ -271,7 +272,7 @@ def test_operator_commutes_with_dilation(c):
 
 def test_operator_works_at_minimum_grid():
     # conservation is algebraic, so it holds even on the coarsest legal grid
-    g = make_grid(16, 40.0)
+    g = Grid(16, 40.0)
     y = expo(g)
     ty = apply_operator(y)
     assert abs(quad_norm(ty) - quad_norm(y) ** 2) < 1e-13
@@ -312,13 +313,13 @@ def test_iterate_norm_sequence_of_subunit_mass():
 
 def test_iterate_rejects_zero_start():
     y0 = Density(GRID, np.zeros(GRID.n_points))
-    with pytest.raises(DegenerateDensityError):
+    with pytest.raises(DegenerateDensityError, match=rf"^initial density on {re.escape(str(GRID))} has mean 0"):
         iterate_operator(y0, 2)
 
 
 def test_iterate_signals_mass_defect():
     # mean-8 exponential on a domain of 5 means: the start fails the tail rule every image obeys
-    g = make_grid(1025, 40.0)
+    g = Grid(1025, 40.0)
     y0 = expo(g, alpha=0.125)
     with pytest.raises(TruncationHealthError, match="^initial density at x_max is "):
         iterate_operator(y0, 1)
@@ -330,7 +331,7 @@ MASS_RULE_TAIL = (r" is off 1 by more than 1e-06: a step maps mass c to c\*\*2, 
 
 def _box_start():
     # 1e-3 of the mass in a box at [25, 30] of a 40-wide domain: each step pushes some of it past x_max
-    g = make_grid(4097, 40.0)
+    g = Grid(4097, 40.0)
     x = g.nodes
     w = 1e-3
     return normalized(Density(g, (1 - w) * 2 * np.exp(-2 * x) + w * ((x >= 25) & (x <= 30)) / 5))
@@ -360,7 +361,7 @@ def test_iterate_signals_mass_defect_at_a_step():
     with pytest.raises(MassDefectError, match=r"^mass 0\.9999987\d* at step 3" + MASS_RULE_TAIL):
         iterate_operator(_box_start(), 3)
     # a box at [600, 700] on [0, 1000] passes the tail rule but loses 3.7e-6 at once
-    g = make_grid(65537, 1000.0)
+    g = Grid(65537, 1000.0)
     x = g.nodes
     w = 4e-3
     y0 = normalized(Density(g, (1 - w) * 2 * np.exp(-2 * x) + w * ((x >= 600) & (x <= 700)) / 100))
@@ -378,7 +379,7 @@ def test_iterate_box_start_breaks_the_mass_rule_at_step_3():
 
 def test_iterate_names_the_mass_law_for_a_non_unit_start():
     # a step maps mass c to c**2, so a start of mass 1.5 is refused before any step
-    y0 = triangle_density(make_grid(4097, 40.0), 1.0).scaled(1.5)
+    y0 = triangle_density(Grid(4097, 40.0), 1.0).scaled(1.5)
     with pytest.raises(MassDefectError, match=r"^mass 1\.5 at step 0" + MASS_RULE_TAIL):
         iterate_operator(y0, 10)
 
@@ -389,7 +390,7 @@ def test_iterate_names_the_mass_law_for_a_non_unit_start():
 def test_iterate_holds_every_density_to_unit_mass(n, x_max, seed, off, above):
     # random grids and mixtures: a start off unit mass by more than 1e-6 raises before any
     # step; the normalized start runs, and every image stays within 1e-6 of unit mass
-    y = random_pdf(make_grid(n, x_max), np.random.default_rng(seed))
+    y = random_pdf(Grid(n, x_max), np.random.default_rng(seed))
     scaled = y.scaled(1.0 + off if above else 1.0 - off)
     assume(abs(quad_norm(scaled) - 1.0) > evolution.MASS_DEFECT_LIMIT)
     with _counting_steps() as calls, pytest.raises(MassDefectError, match=" at step 0 "):
@@ -405,7 +406,7 @@ def test_iterate_reports_the_exact_mass_defect():
     # the doubled-domain image built independently: direct-sum convolution,
     # h*g steps and right-to-left trapezoid sums; its mass on (x_max, 2 x_max]
     # is what the step pushed past x_max
-    g = make_grid(4097, 25.0)
+    g = Grid(4097, 25.0)
     y = sample_family(FamilySpec("gamma", alpha=1.0, n=1), g)
     h = g.spacing
     a = g.trap_weights * y.values
@@ -475,7 +476,7 @@ def test_matched_exponential_rejects_unreachable_mean(mean):
 def test_matched_exponential_names_its_miss():
     # on 20 points the search ends 5.5e-12 off, a miss that :g would print as "mean 1"
     with pytest.raises(ValueError, match=r"ended at mean 1\.00000000000\d+, a relative miss of 5\.5e-12 > 1e-12"):
-        matched_exponential(make_grid(20, 40.0), 1.0)
+        matched_exponential(Grid(20, 40.0), 1.0)
 
 
 def test_matched_exponential_rejects_a_nonpositive_mean():
@@ -527,7 +528,7 @@ def test_ode_residual_derivative_by_quadrature():
     p = np.array([0.5, 1.0, 2.0])
     errors = []
     for n in (4097, 16385):
-        g = make_grid(n, 40.0)
+        g = Grid(n, 40.0)
         y = Density(g, np.exp(-g.nodes))
         dphi = 1j * characteristic_function(Density(g, g.nodes * y.values), p)
         errors.append(float(np.max(np.abs(dphi - 1j / (1.0 - 1j * p) ** 2))))
@@ -546,4 +547,4 @@ def test_derivative_at_zero_exponential():
 
 def test_derivative_at_zero_rejects_a_coarse_grid():
     with pytest.raises(ValueError, match="grid too coarse for derivative extrapolation"):
-        extrapolated_to_zero(derivative_chain(expo(make_grid(32, 10.0))))
+        extrapolated_to_zero(derivative_chain(expo(Grid(32, 10.0))))

@@ -12,13 +12,13 @@ from scipy import special
 from wealthgas import (
     DegenerateDensityError,
     FamilySpec,
+    Grid,
     apply_operator,
     closed_form_step,
     contraction_check,
     evaluate_family,
     family_mean,
     l1_distance,
-    make_grid,
     quad_mean,
     quad_norm,
     sample_family,
@@ -28,7 +28,7 @@ from wealthgas.families import PARAMETER_LATTICE, FamilyKind, _coefficient_step,
 
 
 def grid_for(spec, n_points=4097):
-    return make_grid(n_points, 40.0 * family_mean(spec))
+    return Grid(n_points, 40.0 * family_mean(spec))
 
 
 def spec_id(spec):
@@ -153,7 +153,7 @@ def test_mix_mean_matches_quadrature():
     for beta in (1.0 + 2e-6, 1.0):
         spec = FamilySpec("mix", alpha=1.0, beta=beta)
         assert family_mean(spec) == pytest.approx(0.5 * (1.0 + 1.0 / beta), rel=1e-15)
-        y = sample_family(spec, make_grid(4097, 40.0))
+        y = sample_family(spec, Grid(4097, 40.0))
         assert quad_mean(y) == pytest.approx(family_mean(spec), abs=5e-5)
 
 
@@ -356,7 +356,7 @@ def test_lattice_composition():
 
 
 def test_triangle_density_shape():
-    g = make_grid(4097, 40.0)
+    g = Grid(4097, 40.0)
     tri = triangle_density(g, 1.0)
     assert quad_norm(tri) == pytest.approx(1.0, abs=1e-12)
     assert quad_mean(tri) == pytest.approx(1.0, abs=1e-4)
@@ -367,12 +367,12 @@ def test_triangle_density_shape():
 
 def test_triangle_requires_room():
     with pytest.raises(ValueError):
-        triangle_density(make_grid(64, 2.0), 1.0)
+        triangle_density(Grid(64, 2.0), 1.0)
 
 
 def test_triangle_rejects_a_nonpositive_mean():
     with pytest.raises(ValueError, match="mean must be positive, got 0.0"):
-        triangle_density(make_grid(64, 2.0), 0.0)
+        triangle_density(Grid(64, 2.0), 0.0)
 
 
 def test_zero_mass_samples_raise_degenerate_density():
@@ -380,7 +380,7 @@ def test_zero_mass_samples_raise_degenerate_density():
     # image, of order alpha at x = 0, underflows when multiplied by a
     # spacing of order 1e-301
     with pytest.raises(DegenerateDensityError, match=r"Grid\(n_points=21, x_max=40.0\)"):
-        triangle_density(make_grid(21, 40.0), 1.0)
+        triangle_density(Grid(21, 40.0), 1.0)
     spec = FamilySpec("gamma", alpha=1e-300, n=1)
     with pytest.raises(DegenerateDensityError, match=r"x_max=1e-300"):
-        closed_form_step(spec, make_grid(16, 1e-300))
+        closed_form_step(spec, Grid(16, 1e-300))

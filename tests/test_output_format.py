@@ -50,10 +50,10 @@ from wealthgas.families import (
 from wealthgas.grid import (
     DENSITY_CSV_HEADER,
     Density,
+    Grid,
     _float_cells,
     _text_cells,
     default_grid,
-    make_grid,
     read_density_csv,
     write_csv,
     write_density_csv,
@@ -130,7 +130,7 @@ def test_write_csv_matches_the_per_cell_formatter(tmp_path_factory, table):
 
 
 def test_density_csv_bytes(tmp_path):
-    grid = make_grid(16, 15.0)
+    grid = Grid(16, 15.0)
     write_density_csv(tmp_path / "d.csv", Density(grid, grid.nodes / 3))
     assert (tmp_path / "d.csv").read_bytes() == (
         b"x,density\r\n0,0\r\n1,0.33333333333333331\r\n2,0.66666666666666663\r\n3,1\r\n"
@@ -141,7 +141,7 @@ def test_density_csv_bytes(tmp_path):
 
 
 def _densities(count):
-    grid = make_grid(64, 10.0)
+    grid = Grid(64, 10.0)
     rng = np.random.default_rng(count)
     return [Density(grid, rng.random(grid.n_points)) for _ in range(count)]
 
@@ -342,7 +342,7 @@ def test_families_forked_reads_as_one_core(tmp_path, monkeypatch, capsys):
 @st.composite
 def _density(draw):
     n_points = draw(st.integers(16, 200))
-    grid = make_grid(n_points, draw(st.sampled_from([1e-160, 17.0, 1e160])))
+    grid = Grid(n_points, draw(st.sampled_from([1e-160, 17.0, 1e160])))
     value = st.one_of(st.sampled_from([0.0, 5e-324, 1e308]), st.floats(0.0, 1e308))
     return Density(grid, draw(st.lists(value, min_size=n_points, max_size=n_points)))
 
@@ -463,7 +463,7 @@ def test_iterated_densities_and_an_ensemble_never_need_the_fallback(tmp_path, mo
 
     monkeypatch.setattr(grid_module, "_python_cells", counted)
     gamma = FamilySpec(FamilyKind.GAMMA, alpha=1.0, n=3)
-    starts = [triangle_density(make_grid(32769, 40.0)),
+    starts = [triangle_density(Grid(32769, 40.0)),
               sample_family(gamma, default_grid(family_mean(gamma), 32769))]
     for y0 in starts:
         densities, _ = iterate_operator(y0, 10)
@@ -497,9 +497,7 @@ def test_ensemble_histogram_and_fit_bytes(tmp_path):
     assert (tmp_path / "e.csv").read_bytes() == (
         b"agent_id,money\r\n0,0.10000000000000001\r\n1,2\r\n2,1e-300\r\n"
     )
-    hist = HistogramEstimate(
-        bin_edges=np.linspace(0.0, 0.3, 4), densities=np.array([10 / 3, 0.0, 0.5]), n_samples=3
-    )
+    hist = HistogramEstimate(bin_edges=np.linspace(0.0, 0.3, 4), densities=np.array([10 / 3, 0.0, 0.5]))
     write_histogram_csv(tmp_path / "h.csv", hist)
     assert (tmp_path / "h.csv").read_bytes() == (
         b"bin_left,bin_right,density\r\n"
@@ -564,7 +562,7 @@ def test_manifest_bytes(tmp_path, monkeypatch):
         b'    "steps": 1,\n    "stop_delta": 1e-09,\n    "x_max": 40.0',
     )
 
-    write_density_csv(tmp_path / "start.csv", triangle_density(make_grid(1025, 40.0)))
+    write_density_csv(tmp_path / "start.csv", triangle_density(Grid(1025, 40.0)))
     assert cli.main(["iterate", "--initial", "start.csv", "--steps", "1", "--out", "ini"]) == 0
     assert (tmp_path / "ini" / "manifest.json").read_bytes() == _manifest(
         b"iterate",

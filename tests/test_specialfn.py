@@ -12,6 +12,12 @@ from wealthgas.families import FamilySpec, _gamma_sum, closed_form_step_values
 from wealthgas.specialfn import e1_difference_quotient
 
 
+def test_gauss_legendre_constants_are_leggauss_bit_for_bit():
+    nodes, weights = specialfn._GAUSS_LEGENDRE_16
+    t, w = np.polynomial.legendre.leggauss(16)
+    assert nodes.tobytes() == t.tobytes() and weights.tobytes() == w.tobytes()
+
+
 def Q(s, x):
     """Q(s, x) = e^(-x) sum_{k<s} x^k/k!, the family evaluator at rate 1 with c = ones(s)."""
     return _gamma_sum(1.0, np.ones(s), np.asarray(x, dtype=np.float64))

@@ -6,8 +6,13 @@
 DIR is a source checkout of each side (a `git clone` or `git archive` of a
 commit).  For each seed, both sides run `perfbench/run.py --workload W --seed S
 --seconds S --trace 0` from their own DIR with PYTHONDONTWRITEBYTECODE=1, as
-the benchmark runs it, one after the other; pair k starts
-with the parent when k is even and with the change when k is odd, so neither
+the benchmark runs it, one after the other.  That setting stops Python writing
+bytecode but not reading it, so the tool exits 1 before any run when either DIR
+holds a `__pycache__`: that side would import without compiling, unlike the
+benchmark's fresh checkout.  (An empty PYTHONPYCACHEPREFIX would hide those
+caches, but also the installed packages' caches, which the benchmark does
+read: `import numpy` took 0.39 s in place of 0.13 s.)  Pair k starts with the
+parent when k is even and with the change when k is odd, so neither
 side always runs on a fresher machine.  The summary is written to --out in the
 shape of the repository's `BENCH_*.json` files: per side the seeds, job
 counts and each end-to-end metric's median, quartiles and values; then the
@@ -123,6 +128,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True, help="each run's measuring window")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    caches = sorted(str(path) for side in (args.parent, args.change) for path in side.rglob("__pycache__"))
+    if caches:
+        print(f"bytecode caches would be imported in place of compiling, unlike the benchmark's fresh "
+              f"checkout; remove {' '.join(caches)}", file=sys.stderr)
+        return 1
     pairs = []
     for k, seed in enumerate(args.seeds):
         first = "parent" if k % 2 == 0 else "change"
