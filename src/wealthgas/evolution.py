@@ -12,7 +12,9 @@ discretization is built from one set of trapezoid weights used three times:
   one complex transform pair of the samples packed two to a complex number
   gives all of A, each transform in Bailey's four-step form and in place,
 * the integrand g = c/r takes its analytic limit y(0)^2 at r = 0,
-* the tail integral is accumulated right-to-left with trapezoid steps.
+* the tail integral is accumulated right-to-left with trapezoid steps over
+  the image's n nodes only, starting from the trapezoid sum over
+  (x_max, 2*x_max], which reaches the image as one number added to every node.
 
 With this combination the discrete conservation laws are exact up to
 rounding: quad_norm(Ty) = quad_norm(y)^2 and, for unit mass, quad_mean is
@@ -85,6 +87,18 @@ def _four_step_tables(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for table in (high, low, delay):
         table.setflags(write=False)
     return high, low, delay
+
+
+@functools.lru_cache(maxsize=1)
+def _halved_divisors(grid: Grid) -> np.ndarray:
+    """The divisors (2h) k, k = 1 .. 2N-2, of the doubled domain's halves h*g/2, read-only.
+
+    (2h) k is exactly 2 (h k), so dividing by it halves A_k/(h k) exactly
+    wherever the quotient stays normal.
+    """
+    divisors = (2.0 * grid.spacing) * np.arange(1.0, 2 * grid.n_points - 1)
+    divisors.setflags(write=False)
+    return divisors
 
 
 def _weighted_autoconv(y: Density) -> np.ndarray:
@@ -176,29 +190,33 @@ def autoconvolve(y: Density) -> np.ndarray:
 def apply_operator(y: Density) -> Density:
     """One redistribution step: a new Density on the same grid.
 
-    The tail integral runs over the full doubled domain before restriction,
-    so mass pushed past x_max (but not past 2*x_max) is kept.  The trapezoid
-    steps are built from h*g(r_k) = A_k/(h k), formed directly with no power
-    of h, so the step commutes with a dilation x -> c x to rounding for any
-    c whose grid and values are finite.  h*g, the steps and their
-    right-to-left sums are formed in place in the autoconvolution's buffer.
-    Output is checked against the truncation-health bound
+    The tail integral runs over the full doubled domain, so mass pushed past
+    x_max (but not past 2*x_max) is kept.  The trapezoid steps are built from
+    the halves h*g(r_k)/2 = A_k/((2h) k), formed with no power of h, so the
+    step commutes with a dilation x -> c x to rounding for any c whose grid
+    and values are finite.  Only the image's n nodes are accumulated, right
+    to left from the trapezoid sum over (x_max, 2*x_max], one pairwise
+    ``np.add.reduce`` of the halves in which no BLAS thread count enters.
+    Wherever the halves stay normal, the steps are the bits of
+    0.5 (h*g_k + h*g_k+1).  All of it runs in place in the autoconvolution's
+    buffer.  Output is checked against the truncation-health bound
     values[-1] <= 1e-8 * max.
     """
     grid = y.grid
-    h = grid.spacing
     n = grid.n_points
     A = _weighted_autoconv(y)
     y0 = y.values[0]
-    # h*g: A_k / (h k), with the analytic limit h y(0)^2 at r = 0
-    A[1:] /= h * np.arange(1.0, len(A))
-    A[0] = y0 * (y0 * h)
-    # trapezoid steps 0.5 (hg_k + hg_k+1), then their sums from the right
-    steps = A[:-1]
-    np.add(steps, A[1:], out=steps)
-    steps *= 0.5
-    np.cumsum(steps[::-1], out=steps[::-1])
-    out = np.maximum(A[:n], 0.0)
+    # h*g/2: A_k / ((2h) k), with the analytic limit h y(0)^2 / 2 at r = 0
+    A[1:] /= _halved_divisors(grid)
+    A[0] = 0.5 * y0 * (y0 * grid.spacing)
+    # the trapezoid sum over (x_max, 2 x_max]: each inner half twice, each end half once
+    tail = 2.0 * np.add.reduce(A[n:-1]) + (A[n - 1] + A[-1])
+    # the steps h*g_k/2 + h*g_k+1/2 on [0, x_max], then their sums from the right after the tail
+    out = A[:n]
+    np.add(out[:-1], A[1:n], out=out[:-1])
+    out[-1] = tail
+    np.cumsum(out[::-1], out=out[::-1])
+    np.maximum(out, 0.0, out=out)
     _check_tail(out, "operator output")
     return Density(grid, out)
 

@@ -7,7 +7,11 @@ quadrature of the double-integral definition of the operator.
 
 import contextlib
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,66 @@ def test_operator_works_at_minimum_grid():
     ty = apply_operator(y)
     assert abs(quad_norm(ty) - quad_norm(y) ** 2) < 1e-13
     assert l1_distance(ty, y) < 1e-12
+
+
+def _doubled_domain_image(y):
+    # the step's arithmetic as it was before it accumulated only the image's n nodes: every
+    # h*g_k over the doubled domain, the steps 0.5 (h*g_k + h*g_k+1) and their right-to-left
+    # sums from 2 x_max, cut to the n nodes and clipped at 0
+    A = evolution._weighted_autoconv(y)
+    h = y.grid.spacing
+    hg = np.empty_like(A)
+    hg[0] = y.values[0] * (y.values[0] * h)
+    hg[1:] = A[1:] / (h * np.arange(1.0, len(A)))
+    image = np.cumsum((0.5 * (hg[:-1] + hg[1:]))[::-1])[::-1]
+    return np.maximum(image[: y.grid.n_points], 0.0)
+
+
+@pytest.mark.parametrize("start", [
+    lambda: sample_family(FamilySpec("gamma", alpha=1.0, n=1), Grid(4097, 25.0)),
+    *[lambda n=n, seed=seed: random_pdf(Grid(n, 40.0), np.random.default_rng(seed))
+      for n in (16, 17, 4096, 4097) for seed in range(4)],
+], ids=["gamma_past_x_max"] + [f"random_pdf_{n}_{seed}" for n in (16, 17, 4096, 4097) for seed in range(4)])
+def test_image_matches_the_doubled_domain_accumulation(start):
+    # only the one-number tail over (x_max, 2 x_max] is summed in another order, pairwise where
+    # the old sums ran right to left.  Measured worst |delta| 2.5e-24 of the image's max, on
+    # the x_max = 25 gamma start (2e-29 on the random ones); the bound has 100x margin
+    y = start()
+    expected = _doubled_domain_image(y)
+    assert np.max(np.abs(apply_operator(y).values - expected)) <= 2.5e-22 * expected.max()
+
+
+def test_triangle_image_matches_the_doubled_domain_accumulation_bit_for_bit():
+    # the triangle's doubled half is zero but for the transform's rounding noise (under 1.3e-18),
+    # so the image is bit-identical wherever it stands above that noise; past x ~ 3.99, where
+    # the image is itself noise (under 5e-18), the bound of the other starts holds
+    y = triangle_density(GRID)
+    expected = _doubled_domain_image(y)
+    got = apply_operator(y).values
+    above_noise = expected > 1e-15 * expected.max()
+    assert np.array_equal(got[above_noise], expected[above_noise])
+    assert np.max(np.abs(got - expected)) <= 2.5e-22 * expected.max()
+
+
+_IMAGE_DIGEST = """
+import hashlib, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from wealthgas import Density, Grid, apply_operator
+g = Grid(65537, 25.0)
+y = Density(g, 1.1 * g.nodes * np.exp(-g.nodes))  # not normalized by quad_norm, a BLAS product
+print(hashlib.sha256(apply_operator(y).values.tobytes()).hexdigest())
+"""
+
+
+def test_image_bytes_do_not_depend_on_the_blas_thread_count():
+    # the tail over (x_max, 2 x_max] is a pairwise numpy sum, never a BLAS product, whose
+    # summation order would follow OPENBLAS_NUM_THREADS
+    code = _IMAGE_DIGEST.format(src=str(Path(evolution.__file__).parents[1]))
+    digests = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+               for threads in ("1", "2")}
+    assert len(digests) == 1
 
 
 # ---------------------------------------------------------------- iterate

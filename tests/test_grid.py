@@ -345,6 +345,31 @@ def test_density_csv_rejects_malformed_input(tmp_path, text, message):
     assert "usecols" not in str(info.value)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("row6, cell", [
+    ("5,1.0\x0c7", "1.0\x0c7"), ("5,1.0\x1c7", "1.0\x1c7"), ("5,1.0\x857", "1.0\x857"),
+    ("5,1.0\u20287", "1.0\u20287"), ("5,1.0\r7", "1.0\r7"), ("5\r,1.0", "5\r"),
+], ids=["form_feed", "file_separator", "next_line", "line_separator", "lone_cr", "cr_before_comma"])
+def test_density_csv_names_the_row_that_holds_a_line_break_other_than_lf(tmp_path, newline, row6, cell):
+    # lines end at LF alone: str.splitlines would break row 6 in two and blame the good row 7
+    path = tmp_path / "bad.csv"
+    path.write_bytes(newline.join(["x,density", *_GOOD_ROWS[:5], row6, *_GOOD_ROWS[6:], ""]).encode())
+    with pytest.raises(ValueError) as info:
+        read_density_csv(path)
+    assert str(info.value) == f"{path}: {_TWO_NUMBERS}data row 6 has {cell!r}, which is not a number"
+
+
+@pytest.mark.parametrize("rows, row", [
+    (_GOOD_ROWS[:6] + [""] + _GOOD_ROWS[6:], 7), (_GOOD_ROWS + [""], 17),
+], ids=["inside", "at_the_end"])
+def test_density_csv_names_a_blank_crlf_line(tmp_path, rows, row):
+    path = tmp_path / "bad.csv"
+    path.write_bytes("\r\n".join(["x,density", *rows, ""]).encode())
+    with pytest.raises(ValueError) as info:
+        read_density_csv(path)
+    assert str(info.value) == f"{path}: blank line at data row {row}"
+
+
 @pytest.mark.parametrize("rows, message", [
     (_GOOD_ROWS[:15], "n_points must be an integer >= 16, got 15"),
     ([f"{-x},1.0" for x in range(16)], "x_max must be positive and finite, got -15.0"),
